@@ -1,0 +1,3 @@
+"""Repository benchmark: seeded workloads, end-to-end metrics and a
+traced per-layer breakdown.  Run it with ``python3 perfbench/run.py``;
+see ``perfbench/README.md``."""
