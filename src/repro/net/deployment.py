@@ -585,15 +585,19 @@ class _EpochShared:
 
     Association computes the SNR/distance matrices, relay consumes
     them (same epoch, fixed order); ``version`` is bumped once per
-    completed relay epoch so the MAC can rebuild its contender lists
+    completed relay epoch so the MAC can rebuild its contender cells
     exactly when routes changed, without comparing floating-point
-    event times at epoch boundaries.
+    event times at epoch boundaries.  ``commits`` carries the
+    ``(tag, source_cell)`` of every handoff that moved a tag out of its
+    MAC cell since the MAC last looked; the relay rewrite empties it,
+    because its fresh routes already absorb every earlier commit.
     """
 
     def __init__(self) -> None:
         self.snr: np.ndarray | None = None
         self.distances: np.ndarray | None = None
         self.version = 0
+        self.commits: list[tuple[int, int]] = []
 
 
 class MobilityProcess(Process):
@@ -792,6 +796,7 @@ class AssociationProcess(Process):
         if pop.relay_hops[tag_id] == 0:
             # direct tags follow their serving cell immediately; relayed
             # tags keep their gateway route until the next relay epoch
+            self.shared.commits.append((int(tag_id), int(pop.mac_ap[tag_id])))
             pop.mac_ap[tag_id] = target
             snr = self.deployment.snr_to_ap(
                 float(pop.x_m[tag_id]), float(pop.y_m[tag_id]), target
@@ -890,6 +895,7 @@ class RelayProcess(Process):
         self.covered_relay = int(relayed.sum())
         self.unreachable = int((hops < 0).sum())
         self.shared.version += 1
+        self.shared.commits.clear()
         self.trace(
             "routes",
             epoch=int(self._epoch),
@@ -905,6 +911,95 @@ class RelayProcess(Process):
             self.schedule(self.epoch_dt_s, self._epoch_event)
 
 
+#: Outcome of one AP activation (:meth:`_AlohaCell.poll`).  An empty
+#: cell is counted idle without drawing, so the shard workers ship only
+#: the four drawn kinds to the replay.
+_EMPTY, _IDLE, _COLLISION, _SINGLE_FAIL, _SINGLE_OK = -1, 0, 1, 2, 3
+
+
+class _AlohaCell:
+    """One AP's slotted-ALOHA contention over one relay epoch.
+
+    Holds the epoch's contenders (ascending ids), their effective
+    success probabilities and the AP's own generator.  Within an epoch
+    a handoff commit only ever *removes* a member (arrivals wait for
+    the next epoch's cells), and in discovery mode a read removes the
+    responder, so the live list is kept incrementally and recompacted
+    only after a change.  This is the one place a metro cell draws its
+    contention outcome: the serial MAC polls it directly and the shard
+    workers poll it from their payloads.
+    """
+
+    def __init__(
+        self,
+        ids: np.ndarray,
+        eff_clear: np.ndarray,
+        eff_blocked: np.ndarray,
+        rng: np.random.Generator,
+        *,
+        persistent: bool,
+        strategy=None,
+    ) -> None:
+        self.ids = ids
+        self.eff_clear = eff_clear
+        self.eff_blocked = eff_blocked
+        self.rng = rng
+        self.persistent = persistent
+        self.strategy = strategy
+        self._gone = np.zeros(ids.size, dtype=bool)
+        self._live_pos = np.arange(ids.size)
+        self._live = ids
+        self._dirty = False
+
+    def remove(self, tag: int) -> None:
+        """Take ``tag`` out of contention (no-op for non-members)."""
+        pos = int(np.searchsorted(self.ids, tag))
+        member = pos < self.ids.size and self.ids[pos] == tag
+        if member and not self._gone[pos]:
+            self._gone[pos] = True
+            self._dirty = True
+
+    def poll(self, slot: int, blocked: bool) -> tuple[int, int, float]:
+        """Run one activation; returns ``(kind, tag, offered_load)``.
+
+        Draw order (the determinism contract): one ``random(n)`` vector
+        over the live contenders in ascending id order, then — for a
+        lone responder — one scalar success draw.  The strategy's ``p``
+        is computed before the vector draw and never draws itself.
+        """
+        if self._dirty:
+            self._live_pos = np.flatnonzero(~self._gone)
+            self._live = self.ids[self._live_pos]
+            self._dirty = False
+        live = self._live
+        if live.size == 0:
+            return _EMPTY, -1, 0.0
+        strategy = self.strategy
+        if strategy is None:
+            p = 1.0 / live.size
+            offered = 1.0
+        else:
+            p = strategy.transmit_probabilities(live, slot)
+            offered = (
+                live.size * p if isinstance(p, float) else float(p.sum())
+            )
+        hits = np.flatnonzero(self.rng.random(live.size) < p)
+        if hits.size != 1:
+            if strategy is not None:
+                strategy.observe_slot(live[hits], False if hits.size else None)
+            return (_COLLISION if hits.size else _IDLE), -1, offered
+        pos = int(self._live_pos[hits[0]])
+        eff = self.eff_blocked if blocked else self.eff_clear
+        delivered = bool(self.rng.random() < eff[pos])
+        if delivered and not self.persistent:
+            self._gone[pos] = True
+            self._dirty = True
+        if strategy is not None:
+            strategy.observe_slot(live[hits], delivered)
+        kind = _SINGLE_OK if delivered else _SINGLE_FAIL
+        return kind, int(live[hits[0]]), offered
+
+
 class MultiApAlohaMac(MacProcess):
     """Slotted ALOHA across a reuse-coloured AP grid.
 
@@ -912,11 +1007,13 @@ class MultiApAlohaMac(MacProcess):
     ascending AP-id order; each polls its own cell's contenders
     (adaptive ``p = 1/backlog``) and a lone responder's frame draws
     success from the tag's *effective* probability — direct SINR-based
-    for in-coverage tags, gateway-decayed for relayed ones.  Contender
-    lists are rebuilt whenever the relay process publishes a new route
-    version (a counter, so nothing compares floating-point event times)
-    and filtered per slot, so the per-slot cost scales with the
-    backlog, not the population.
+    for in-coverage tags, gateway-decayed for relayed ones.  One
+    :class:`_AlohaCell` per AP is built whenever the relay process
+    publishes a new route version (a counter, so nothing compares
+    floating-point event times); between rebuilds the cells only lose
+    members — to reads, and to the handoff commits the association
+    process posts on :class:`_EpochShared` — so the per-slot cost
+    scales with the backlog, not the population.
 
     Every AP draws from its **own** RNG stream (``ap_rngs``, assigned
     by :func:`_build_metro` in ascending AP-id order right after
@@ -933,6 +1030,11 @@ class MultiApAlohaMac(MacProcess):
     history across handoffs.  The sharded engine supports only the
     default rule and rejects anything else loudly
     (:func:`repro.net.shard.run_multi_ap_sharded`).
+
+    The sharded engine's planner and replay MACs subclass this one and
+    override the hooks :meth:`_begin_epoch`, :meth:`_handoff` and
+    :meth:`_poll`; every outcome, drawn here or replayed, is booked by
+    :meth:`_account`.
     """
 
     def __init__(
@@ -966,79 +1068,75 @@ class MultiApAlohaMac(MacProcess):
         self.per_ap_reads = np.zeros(deployment.n_aps, dtype=np.int64)
         self.reads_relayed = 0
         self.max_read_range_m = float("nan")
-        self._lists_version = -1
-        self._ap_ids: list[np.ndarray] = [
-            np.empty(0, dtype=np.int64) for _ in range(deployment.n_aps)
-        ]
+        self._epoch_version = -1
+        self._cells: list[_AlohaCell] = []
 
-    def _success_p(self, tag_id: int, blocked: bool) -> float:
-        pop = self.population
-        src = pop.eff_blocked_p if blocked else pop.eff_clear_p
-        return float(src[tag_id])
+    def _sync(self, slot: int) -> None:
+        """Start a new epoch on a route change, then take in commits."""
+        shared = self.shared
+        if self._epoch_version != shared.version:
+            self._epoch_version = shared.version
+            self._begin_epoch(slot)
+        for tag, source in shared.commits:
+            self._handoff(slot, tag, source)
+        shared.commits.clear()
 
-    def _rebuild_lists(self) -> None:
+    def _begin_epoch(self, slot: int) -> None:
+        assert self.ap_rngs is not None, "per-AP streams not assigned"
         pop = self.population
         n = len(pop)
         eligible = pop.active[:n] if self.persistent else (
             pop.active[:n] & ~pop.read[:n]
         )
         mac_ap = pop.mac_ap[:n]
-        self._ap_ids = [
-            np.flatnonzero(eligible & (mac_ap == ap))
-            for ap in range(self.deployment.n_aps)
-        ]
+        self._cells = []
+        for ap in range(self.deployment.n_aps):
+            ids = np.flatnonzero(eligible & (mac_ap == ap))
+            self._cells.append(
+                _AlohaCell(
+                    ids,
+                    pop.eff_clear_p[ids],
+                    pop.eff_blocked_p[ids],
+                    self.ap_rngs[ap],
+                    persistent=self.persistent,
+                    strategy=self.strategy,
+                )
+            )
+
+    def _handoff(self, slot: int, tag: int, source: int) -> None:
+        self._cells[source].remove(tag)
+
+    def _poll(
+        self, ap: int, slot: int, blocked: bool
+    ) -> tuple[int, int, float]:
+        return self._cells[ap].poll(slot, blocked)
 
     def on_slot(self, slot: int, blocked: bool) -> None:
-        assert self.ap_rngs is not None, "per-AP streams not assigned"
-        if self._lists_version != self.shared.version:
-            self._rebuild_lists()
-            self._lists_version = self.shared.version
-        pop = self.population
+        self._sync(slot)
         color = slot % self.deployment.config.spatial_reuse_factor
         for ap in self.deployment.aps_of_color[color]:
             ap = int(ap)
-            ids = self._ap_ids[ap]
-            if ids.size:
-                keep = pop.mac_ap[ids] == ap
-                if not self.persistent:
-                    keep &= ~pop.read[ids]
-                ids = ids[keep]
-            self.ap_slots += 1
-            if ids.size == 0:
-                self.slots_idle += 1
-                continue
-            rng = self.ap_rngs[ap]
-            if self.strategy is None:
-                p = 1.0 / ids.size
-                self.offered_sum += 1.0
-            else:
-                p = self.strategy.transmit_probabilities(ids, slot)
-                self.offered_sum += (
-                    ids.size * p if isinstance(p, float) else float(p.sum())
-                )
-            responders = ids[rng.random(ids.size) < p]
-            if responders.size == 0:
-                self._count(SlotOutcome.IDLE)
-                if self.strategy is not None:
-                    self.strategy.observe_slot(responders, None)
-                continue
-            if responders.size > 1:
-                self._count(SlotOutcome.COLLISION)
-                if self.strategy is not None:
-                    self.strategy.observe_slot(responders, False)
-                continue
-            self._count(SlotOutcome.SINGLE)
-            tag_id = int(responders[0])
-            if rng.random() < self._success_p(tag_id, blocked):
-                self._record(tag_id, ap, slot)
-                delivered = True
-            else:
-                self.reads_failed_channel += 1
-                delivered = False
-            if self.strategy is not None:
-                self.strategy.observe_slot(responders, delivered)
+            self._account(ap, slot, *self._poll(ap, slot, blocked))
 
-    def _record(self, tag_id: int, ap: int, slot: int) -> None:
+    def _account(
+        self, ap: int, slot: int, kind: int, tag_id: int, offered: float
+    ) -> None:
+        """Book one AP activation's outcome: counters, read, trace."""
+        self.ap_slots += 1
+        if kind == _EMPTY:
+            self.slots_idle += 1
+            return
+        self.offered_sum += offered
+        if kind == _IDLE:
+            self._count(SlotOutcome.IDLE)
+            return
+        if kind == _COLLISION:
+            self._count(SlotOutcome.COLLISION)
+            return
+        self._count(SlotOutcome.SINGLE)
+        if kind == _SINGLE_FAIL:
+            self.reads_failed_channel += 1
+            return
         pop = self.population
         first_read = not bool(pop.read[tag_id])
         pop.record_read(tag_id, self.frame_bits, self.now)
@@ -1195,7 +1293,6 @@ def _build_metro(
     config: MultiAPConfig,
     *,
     mac_cls: type[MultiApAlohaMac] = MultiApAlohaMac,
-    assoc_cls: type[AssociationProcess] = AssociationProcess,
     strategy=None,
 ) -> _MetroParts:
     """Register the metro process stack on ``sim`` (nothing runs yet).
@@ -1204,9 +1301,9 @@ def _build_metro(
     sharded planner/replay engines (:mod:`repro.net.shard`), so all
     three consume the root seed sequence identically: five process
     streams in registration order, then one stream per AP in ascending
-    AP-id order for the MAC.  ``mac_cls`` / ``assoc_cls`` let the
-    sharded engines substitute recording/replaying subclasses without
-    perturbing that contract.
+    AP-id order for the MAC.  ``mac_cls`` lets the sharded engines
+    substitute recording/replaying MACs without perturbing that
+    contract.
     """
     deployment = Deployment(config)
     slot_s = deployment.slot_s
@@ -1224,7 +1321,7 @@ def _build_metro(
         )
     )
     assoc = sim.add_process(
-        assoc_cls(
+        AssociationProcess(
             population,
             deployment,
             shared,
@@ -1365,6 +1462,25 @@ def _finalize_metro(sim: Simulator, parts: _MetroParts) -> MultiAPReport:
     return report
 
 
+def _fresh_seedseq(seed: int | np.random.SeedSequence) -> np.random.SeedSequence:
+    """An unshared copy of ``seed`` with an untouched spawn counter.
+
+    :class:`~repro.net.engine.Simulator` spawns its streams off the
+    root sequence, so handing it the caller's sequence would consume
+    it: a second run with the same object (or one already spawned
+    from) would draw from different children.  Every metro engine —
+    serial, planner, replay and the sharded coordinator's per-AP
+    stream reconstruction — starts from its own copy instead.
+    """
+    if isinstance(seed, np.random.SeedSequence):
+        return np.random.SeedSequence(
+            entropy=seed.entropy,
+            spawn_key=seed.spawn_key,
+            pool_size=seed.pool_size,
+        )
+    return np.random.SeedSequence(int(seed))
+
+
 def run_multi_ap(
     config: MultiAPConfig,
     seed: int | np.random.SeedSequence = 0,
@@ -1399,7 +1515,9 @@ def run_multi_ap(
         # the inline path — resolve to it so the draw arithmetic is
         # the seed's own code.
         strategy = None
-    sim = Simulator(seed=seed, trace_capacity=config.trace_capacity)
+    sim = Simulator(
+        seed=_fresh_seedseq(seed), trace_capacity=config.trace_capacity
+    )
     parts = _build_metro(sim, config, strategy=strategy)
     _run_metro(sim, parts)
     report = _finalize_metro(sim, parts)

@@ -1,11 +1,11 @@
 """Sharded metro execution: byte-identical to serial, on many cores.
 
 :func:`repro.net.deployment.run_multi_ap` is single-threaded; its MAC
-inner loop dominates the wall clock at million-tag scale (every slot
-touches every contender, plus an O(population) drain check).  This
-module runs the *same* simulation partitioned across worker processes
-and reproduces the serial run **bit for bit** — same report pickle,
-same event-trace digest — for any shard count.
+inner loop dominates the wall clock at million-tag scale (every AP
+activation draws one uniform per contender).  This module runs the
+*same* simulation partitioned across worker processes and reproduces
+the serial run **bit for bit** — same report pickle, same event-trace
+digest — for any shard count.
 
 Why this is possible without locks or clock synchronisation:
 
@@ -18,11 +18,12 @@ Why this is possible without locks or clock synchronisation:
 * **Epoch-synchronised cross-shard state.**  All cross-cell coupling —
   mobility, association/handoff, relay routing, interference — lands
   at epoch boundaries (plus handoff commits whose apply slots are
-  fixed once the epoch's geometry is known), and the serial MAC only
-  *removes* tags from a cell's contender list between rebuilds.  So a
-  cell's entire slot-by-slot behaviour inside one epoch is a pure
-  function of (contender snapshot, commit schedule, blockage windows,
-  RNG state) — all known up front.
+  fixed once the epoch's geometry is known), and a cell only *loses*
+  contenders between rebuilds.  So a cell's entire slot-by-slot
+  behaviour inside one epoch is a pure function of (contender
+  snapshot, commit schedule, blockage windows, RNG state) — all known
+  up front.  Serial MAC and workers both poll that behaviour through
+  the one per-AP kernel, :class:`~repro.net.deployment._AlohaCell`.
 
 The run happens in three passes:
 
@@ -36,20 +37,20 @@ The run happens in three passes:
    :class:`_ShardEpochTask` point per shard on the existing
    :class:`~repro.sim.executor.SweepExecutor` — inheriting its process
    pool, per-epoch checkpointing (:mod:`repro.sim.checkpoint`),
-   seeded-retry recovery, and pool→serial degradation.  Workers
-   replicate the serial draw sequence for their APs and return compact
-   outcome records plus their advanced RNG states.
+   seeded-retry recovery, and pool→serial degradation.  Workers build
+   the serial MAC's cells for their APs and return compact outcome
+   records plus their advanced RNG states.
 3. **Replay** (serial, output-sized): run the real engine once more
-   with a MAC that consumes the merged records instead of drawing.
-   Every ``schedule()``/``record()`` call happens in the serial order,
-   so the trace digest, the report, and all counters come out
-   byte-identical — and the replay's per-slot cost is O(records), not
+   with a MAC that takes each ``(kind, tag)`` from the merged records
+   instead of a cell and books it through the serial MAC's own
+   bookkeeping, so the trace digest, the report, and all counters come
+   out byte-identical — and the replay's per-slot cost is O(APs), not
    O(backlog).
 
-The sharded path therefore does strictly less per-slot work than
-serial on the hot path (no per-slot drain scan, no contender filter in
-the replay), which is where the multi-core speedup on top of the
-parallel pass comes from.
+The per-slot draw work is the same as serial's; the speedup comes from
+spreading it over workers.  The plan and replay passes add two serial
+engine runs that never draw, which is why a single shard is slower
+than the serial engine.
 """
 
 from __future__ import annotations
@@ -60,15 +61,17 @@ from pathlib import Path
 import numpy as np
 
 from repro.net.deployment import (
-    AssociationProcess,
+    _EMPTY,
+    _SINGLE_OK,
     MultiAPConfig,
     MultiAPReport,
     MultiApAlohaMac,
+    _AlohaCell,
     _build_metro,
     _finalize_metro,
+    _fresh_seedseq,
     _run_metro,
 )
-from repro.core.inventory import SlotOutcome
 from repro.net.engine import Simulator
 from repro.sim.checkpoint import SweepCheckpoint
 from repro.sim.executor import SweepExecutor, SweepTask
@@ -77,11 +80,6 @@ __all__ = [
     "run_multi_ap_sharded",
     "ShardEpochTask",
 ]
-
-#: Compact outcome codes shipped from workers to the replay pass.  A
-#: missing record for an (AP, slot) means the cell's contender list was
-#: empty (serial counts it idle without drawing).
-_IDLE, _COLLISION, _SINGLE_FAIL, _SINGLE_OK = 0, 1, 2, 3
 
 #: Streams consumed by process registration before the per-AP streams
 #: start (mobility, assoc, relay, blockage, mac) — see ``_build_metro``.
@@ -92,35 +90,20 @@ _N_PROCESS_STREAMS = 5
 _CHECKPOINT_FSYNC_EVERY = 64
 
 
-def _fresh_seedseq(seed: int | np.random.SeedSequence) -> np.random.SeedSequence:
-    """An unshared copy of ``seed`` with an untouched spawn counter.
-
-    The planner simulator, the replay simulator, and the coordinator's
-    per-AP stream reconstruction each spawn children off the root; they
-    must all see the same spawn sequence the serial reference does, so
-    each gets its own copy instead of sharing one mutating counter.
-    """
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.SeedSequence(
-            entropy=seed.entropy,
-            spawn_key=seed.spawn_key,
-            pool_size=seed.pool_size,
-        )
-    return np.random.SeedSequence(int(seed))
-
-
 # -- pass 1: the plan ---------------------------------------------------------
 
 
 class _PlannerMac(MultiApAlohaMac):
     """Stand-in MAC for the planning pass: records, never draws.
 
-    At each contender-list rebuild (the relay process's version bump,
-    exactly where the serial MAC rebuilds) it snapshots the epoch's
-    ``mac_ap`` partition and effective success probabilities; per slot
-    it records the blockage flag.  It never drains, because the epoch
-    layer's behaviour is read-independent and the plan must cover the
-    full horizon regardless of when the serial MAC stops.
+    At each epoch start (the relay process's version bump, exactly
+    where the serial MAC builds its cells) it snapshots the epoch's
+    ``mac_ap`` partition and effective success probabilities; it logs
+    every handoff commit with the slot the serial MAC takes it in (the
+    first slot the commit can influence), and per slot the blockage
+    flag.  It never drains, because the epoch layer's behaviour is
+    read-independent and the plan must cover the full horizon
+    regardless of when the serial MAC stops.
     """
 
     def __init__(self, *args: object, **kwargs: object) -> None:
@@ -129,48 +112,27 @@ class _PlannerMac(MultiApAlohaMac):
         self.epoch_mac_ap: list[np.ndarray] = []
         self.epoch_eff_clear: list[np.ndarray] = []
         self.epoch_eff_blocked: list[np.ndarray] = []
+        self.epoch_commits: list[list[tuple[int, int, int]]] = []
         self.blocked_mask = np.zeros(self.num_slots, dtype=bool)
-        self.commit_log: list[tuple[int, int, int]] = []
 
     def _drained(self) -> bool:
         return False
 
+    def _begin_epoch(self, slot: int) -> None:
+        pop = self.population
+        n = len(pop)
+        self.epoch_starts.append(int(slot))
+        self.epoch_mac_ap.append(pop.mac_ap[:n].copy())
+        self.epoch_eff_clear.append(pop.eff_clear_p[:n].copy())
+        self.epoch_eff_blocked.append(pop.eff_blocked_p[:n].copy())
+        self.epoch_commits.append([])
+
+    def _handoff(self, slot: int, tag: int, source: int) -> None:
+        self.epoch_commits[-1].append((int(slot), tag, source))
+
     def on_slot(self, slot: int, blocked: bool) -> None:
-        if self._lists_version != self.shared.version:
-            self._lists_version = self.shared.version
-            pop = self.population
-            n = len(pop)
-            self.epoch_starts.append(int(slot))
-            self.epoch_mac_ap.append(pop.mac_ap[:n].copy())
-            self.epoch_eff_clear.append(pop.eff_clear_p[:n].copy())
-            self.epoch_eff_blocked.append(pop.eff_blocked_p[:n].copy())
+        self._sync(slot)
         self.blocked_mask[slot] = blocked
-
-
-class _PlannerAssoc(AssociationProcess):
-    """Association process that logs each commit's apply slot.
-
-    ``planner_mac.slots_run`` at commit time is the first slot the new
-    state can influence: a commit dispatched before slot *k*'s event
-    (same timestamp, smaller seq) records *k*; one dispatched after it
-    records *k + 1*.  Commits that land at an epoch boundary run before
-    that epoch's relay rewrite, so they are already absorbed into the
-    epoch snapshot and are recognisable by ``apply_slot == start``.
-    """
-
-    planner_mac: _PlannerMac | None = None
-
-    def _commit(self, tag_id: int, target: int) -> None:
-        super()._commit(tag_id, target)
-        mac = self.planner_mac
-        assert mac is not None, "planner mac not attached"
-        mac.commit_log.append(
-            (
-                int(mac.slots_run),
-                int(tag_id),
-                int(self.population.mac_ap[tag_id]),
-            )
-        )
 
 
 @dataclass
@@ -186,8 +148,8 @@ class _MetroPlan:
     epoch_mac_ap: list[np.ndarray]
     epoch_eff_clear: list[np.ndarray]
     epoch_eff_blocked: list[np.ndarray]
+    epoch_commits: list[list[tuple[int, int, int]]]  # (slot, tag, source)
     blocked_mask: np.ndarray
-    commits: list[tuple[int, int, int]]  # (apply_slot, tag, mac_ap_after)
 
     def epoch_bounds(self, e: int) -> tuple[int, int]:
         start = self.epoch_starts[e]
@@ -201,12 +163,8 @@ def _plan_metro(
 ) -> _MetroPlan:
     """Run the recording pass and return the execution plan."""
     sim = Simulator(seed=_fresh_seedseq(seed), trace_capacity=1)
-    parts = _build_metro(
-        sim, config, mac_cls=_PlannerMac, assoc_cls=_PlannerAssoc
-    )
+    parts = _build_metro(sim, config, mac_cls=_PlannerMac)
     assert isinstance(parts.mac, _PlannerMac)
-    assert isinstance(parts.assoc, _PlannerAssoc)
-    parts.assoc.planner_mac = parts.mac
     _run_metro(sim, parts)
     mac = parts.mac
     return _MetroPlan(
@@ -219,8 +177,8 @@ def _plan_metro(
         epoch_mac_ap=mac.epoch_mac_ap,
         epoch_eff_clear=mac.epoch_eff_clear,
         epoch_eff_blocked=mac.epoch_eff_blocked,
+        epoch_commits=mac.epoch_commits,
         blocked_mask=mac.blocked_mask,
-        commits=mac.commit_log,
     )
 
 
@@ -248,121 +206,57 @@ class _ShardPayload:
 
 @dataclass(frozen=True)
 class _ShardResult:
-    """Compact outcome stream + advanced RNG states from one worker."""
+    """Drawn outcomes + advanced RNG states from one worker.
 
-    slots: np.ndarray
-    aps: np.ndarray
-    kinds: np.ndarray
-    tags: np.ndarray
+    ``records`` has one ``(slot, ap, kind, tag)`` row per AP activation
+    that drew; an activation without a row had an empty cell.
+    """
+
+    records: np.ndarray
     aps_owned: tuple[int, ...]
     rng_states: tuple[dict, ...]
 
 
 def _run_shard_epoch(payload: _ShardPayload) -> _ShardResult:
-    """Replicate the serial draw sequence for one shard's APs.
+    """Poll one shard's AP cells through the epoch.
 
-    Mirrors ``MultiApAlohaMac.on_slot`` exactly for each owned AP: same
-    contender counts, same ``random(size)`` vector draw, same scalar
-    success draw — from the same per-AP generator state the serial run
-    would hold.  Commits only ever *remove* a tag from its epoch cell
-    (additions wait for the next rebuild, exactly like serial), and a
-    read removes the responder in non-persistent mode, so the live list
-    is maintained incrementally and recompacted lazily.
+    Builds the same :class:`~repro.net.deployment._AlohaCell` the
+    serial MAC builds, from the same per-AP generator state, applies
+    the planner's commit schedule and polls in serial slot order.
     """
-    states: list[dict] = []
-    for k, ap in enumerate(payload.aps):
-        gen = np.random.Generator(np.random.PCG64())
-        gen.bit_generator.state = payload.rng_states[k]
-        ids = payload.members[k]
-        states.append(
-            {
-                "ap": int(ap),
-                "rng": gen,
-                "ids": ids,
-                "effc": payload.eff_clear[k],
-                "effb": payload.eff_blocked[k],
-                "alive": np.ones(ids.size, dtype=bool),
-                "read": np.zeros(ids.size, dtype=bool),
-                "cslots": payload.commit_slots[k],
-                "ctags": payload.commit_tags[k],
-                "cptr": 0,
-                "dirty": True,
-                "live": None,
-                "live_pos": None,
-                "live_effc": None,
-                "live_effb": None,
-            }
+    cells = []
+    for k in range(len(payload.aps)):
+        rng = np.random.Generator(np.random.PCG64())
+        rng.bit_generator.state = payload.rng_states[k]
+        cells.append(
+            _AlohaCell(
+                payload.members[k],
+                payload.eff_clear[k],
+                payload.eff_blocked[k],
+                rng,
+                persistent=payload.persistent,
+            )
         )
-    by_color: dict[int, list[dict]] = {}
-    for k in range(len(states)):  # ascending AP id within each colour
-        by_color.setdefault(int(payload.ap_colors[k]), []).append(states[k])
-
-    out_slots: list[int] = []
-    out_aps: list[int] = []
-    out_kinds: list[int] = []
-    out_tags: list[int] = []
+    by_color: dict[int, list[int]] = {}
+    for k, color in enumerate(payload.ap_colors):  # ascending AP id
+        by_color.setdefault(color, []).append(k)
+    next_commit = [0] * len(cells)
+    records: list[tuple[int, int, int, int]] = []
     for slot in range(payload.start_slot, payload.end_slot):
         blocked = bool(payload.blocked[slot - payload.start_slot])
-        for st in by_color.get(slot % payload.reuse_factor, ()):
-            cslots = st["cslots"]
-            while st["cptr"] < cslots.size and cslots[st["cptr"]] <= slot:
-                tag = st["ctags"][st["cptr"]]
-                st["cptr"] += 1
-                pos = int(np.searchsorted(st["ids"], tag))
-                if (
-                    pos < st["ids"].size
-                    and st["ids"][pos] == tag
-                    and st["alive"][pos]
-                ):
-                    st["alive"][pos] = False
-                    st["dirty"] = True
-            if st["dirty"]:
-                mask = (
-                    st["alive"]
-                    if payload.persistent
-                    else st["alive"] & ~st["read"]
-                )
-                pos = np.flatnonzero(mask)
-                st["live"] = st["ids"][pos]
-                st["live_pos"] = pos
-                st["live_effc"] = st["effc"][pos]
-                st["live_effb"] = st["effb"][pos]
-                st["dirty"] = False
-            live = st["live"]
-            if live.size == 0:
-                continue  # serial counts an idle AP-slot, drawing nothing
-            rng = st["rng"]
-            hits = np.flatnonzero(rng.random(live.size) < 1.0 / live.size)
-            if hits.size == 0:
-                kind, tag = _IDLE, -1
-            elif hits.size > 1:
-                kind, tag = _COLLISION, -1
-            else:
-                j = int(hits[0])
-                tag = int(live[j])
-                eff = float(
-                    st["live_effb"][j] if blocked else st["live_effc"][j]
-                )
-                if rng.random() < eff:
-                    kind = _SINGLE_OK
-                    if not payload.persistent:
-                        st["read"][st["live_pos"][j]] = True
-                        st["dirty"] = True
-                else:
-                    kind = _SINGLE_FAIL
-            out_slots.append(slot)
-            out_aps.append(st["ap"])
-            out_kinds.append(kind)
-            out_tags.append(tag)
+        for k in by_color.get(slot % payload.reuse_factor, ()):
+            commit_slots, done = payload.commit_slots[k], next_commit[k]
+            while done < commit_slots.size and commit_slots[done] <= slot:
+                cells[k].remove(int(payload.commit_tags[k][done]))
+                done += 1
+            next_commit[k] = done
+            kind, tag, _ = cells[k].poll(slot, blocked)
+            if kind != _EMPTY:
+                records.append((slot, payload.aps[k], kind, tag))
     return _ShardResult(
-        slots=np.asarray(out_slots, dtype=np.int64),
-        aps=np.asarray(out_aps, dtype=np.int64),
-        kinds=np.asarray(out_kinds, dtype=np.int64),
-        tags=np.asarray(out_tags, dtype=np.int64),
+        records=np.asarray(records, dtype=np.int64).reshape(-1, 4),
         aps_owned=payload.aps,
-        rng_states=tuple(
-            st["rng"].bit_generator.state for st in states
-        ),
+        rng_states=tuple(cell.rng.bit_generator.state for cell in cells),
     )
 
 
@@ -429,19 +323,12 @@ def _build_epoch_payloads(
     members = [
         np.flatnonzero(eligible & (mac_ap == ap)) for ap in range(plan.n_aps)
     ]
-    # Handoff commits only ever *remove* a tag from the cell the epoch
-    # snapshot put it in (mac_ap changed mid-epoch); commits landing at
-    # the epoch boundary itself ran before the relay rewrite and are
-    # already absorbed into the snapshot, hence the strict lower bound.
     commit_slots: list[list[int]] = [[] for _ in range(plan.n_aps)]
     commit_tags: list[list[int]] = [[] for _ in range(plan.n_aps)]
-    for apply_slot, tag, mac_ap_after in plan.commits:
-        if not start < apply_slot < end or not eligible[tag]:
-            continue
-        cell = int(mac_ap[tag])
-        if mac_ap_after != cell:
-            commit_slots[cell].append(apply_slot)
-            commit_tags[cell].append(tag)
+    # a commit takes the tag out of its source cell (no-op once read)
+    for apply_slot, tag, source in plan.epoch_commits[epoch]:
+        commit_slots[source].append(apply_slot)
+        commit_tags[source].append(tag)
     owner = _assign_aps([m.size for m in members], n_shards)
     payloads = []
     for s in range(n_shards):
@@ -474,60 +361,30 @@ def _build_epoch_payloads(
 
 
 class _ReplayMac(MultiApAlohaMac):
-    """MAC that replays merged shard records instead of drawing.
+    """MAC that replays merged shard outcomes instead of drawing.
 
-    Reproduces every serial counter and trace/schedule call: a missing
-    record for a polled AP means its contender list was empty (idle,
-    no draw); otherwise the record's outcome drives the identical
-    ``_count``/``_record``/``reads_failed_channel`` updates.  The drain
-    check is O(1) — an unread counter decremented on first reads —
-    instead of serial's O(population) scan, which is legitimate here
-    because the metro population has no churn.
+    Only the source of ``(kind, tag)`` differs from the serial MAC: a
+    polled AP with no record had an empty cell, and every outcome is
+    booked by the shared :meth:`MultiApAlohaMac._account`, so counters,
+    trace and schedule calls come out in the serial order.
     """
 
-    _EMPTY: tuple = ()
+    _NO_DRAW = (_EMPTY, -1)
 
     def load_outcomes(
-        self, by_slot: dict[int, tuple[tuple[int, int, int], ...]], n_tags: int
+        self, outcomes: dict[tuple[int, int], tuple[int, int]]
     ) -> None:
-        self._by_slot = by_slot
-        self._unread = int(n_tags)
+        """``(slot, ap) -> (kind, tag)`` for every activation that drew."""
+        self._outcomes = outcomes
 
-    def _drained(self) -> bool:
-        return self._unread == 0
+    def _sync(self, slot: int) -> None:
+        self.shared.commits.clear()  # the workers already applied them
 
-    def _record(self, tag_id: int, ap: int, slot: int) -> None:
-        if not bool(self.population.read[tag_id]):
-            self._unread -= 1
-        super()._record(tag_id, ap, slot)
-
-    def on_slot(self, slot: int, blocked: bool) -> None:
-        # keep the rebuild cursor in step (the lists themselves are
-        # never consulted — outcomes were computed by the workers)
-        if self._lists_version != self.shared.version:
-            self._lists_version = self.shared.version
-        recs = self._by_slot.get(slot, self._EMPTY)
-        i = 0
-        color = slot % self.deployment.config.spatial_reuse_factor
-        for ap in self.deployment.aps_of_color[color]:
-            ap = int(ap)
-            self.ap_slots += 1
-            if i < len(recs) and recs[i][0] == ap:
-                kind, tag = recs[i][1], recs[i][2]
-                i += 1
-                self.offered_sum += 1.0
-                if kind == _IDLE:
-                    self._count(SlotOutcome.IDLE)
-                elif kind == _COLLISION:
-                    self._count(SlotOutcome.COLLISION)
-                elif kind == _SINGLE_FAIL:
-                    self._count(SlotOutcome.SINGLE)
-                    self.reads_failed_channel += 1
-                else:
-                    self._count(SlotOutcome.SINGLE)
-                    self._record(int(tag), ap, slot)
-            else:
-                self.slots_idle += 1
+    def _poll(
+        self, ap: int, slot: int, blocked: bool
+    ) -> tuple[int, int, float]:
+        kind, tag = self._outcomes.get((slot, ap), self._NO_DRAW)
+        return kind, tag, 1.0
 
 
 # -- the coordinator ----------------------------------------------------------
@@ -549,8 +406,8 @@ def run_multi_ap_sharded(
 
     Byte-identical to ``run_multi_ap(config, seed)`` — same report
     pickle, same trace digest — for any ``shards >= 1`` (the count is
-    clamped to the AP count; pass an ``int`` seed or a fresh
-    :class:`~numpy.random.SeedSequence`).
+    clamped to the AP count).  A :class:`~numpy.random.SeedSequence`
+    seed is copied, never consumed, exactly as the serial engine does.
 
     ``executor`` defaults to a process-pool
     :class:`~repro.sim.executor.SweepExecutor` with one worker per
@@ -564,10 +421,11 @@ def run_multi_ap_sharded(
     retry stack recovers the identical result.
 
     ``strategy`` exists only for parity with :func:`run_multi_ap`'s
-    signature: the shard workers replay the adaptive ``p = 1/backlog``
-    draw pattern verbatim (they never run the strategy slot), so any
-    non-default backoff strategy is **rejected loudly** here rather
-    than silently diverging from the serial reference.  Mobile-reader
+    signature: the shard workers build their cells without a strategy
+    (its window state is per tag and follows tags across cells, so it
+    cannot be split over shards), so any non-default backoff strategy
+    is **rejected loudly** here rather than silently diverging from the
+    serial reference.  Mobile-reader
     scenarios are likewise single-AP only
     (:func:`repro.net.scenario.mobile.run_mobile_reader`) and never
     reach this engine.
@@ -602,11 +460,10 @@ def run_multi_ap_sharded(
     if executor is None:
         executor = SweepExecutor("process", max_workers=n_shards)
     read = np.zeros(plan.n_tags, dtype=bool)
-    unread = plan.n_tags
     stop_on_drain = config.stop_when_drained and not config.persistent
-    by_slot: dict[int, tuple[tuple[int, int, int], ...]] = {}
+    outcomes: dict[tuple[int, int], tuple[int, int]] = {}
     for e in range(len(plan.epoch_starts)):
-        if stop_on_drain and unread == 0:
+        if stop_on_drain and read.all():
             break  # serial stopped clocking slots; nothing left to draw
         payloads = _build_epoch_payloads(
             plan, e, read, rng_states, n_shards, config.persistent
@@ -631,46 +488,21 @@ def run_multi_ap_sharded(
                 f"shard epoch {e}: {report.failed} shard(s) failed "
                 f"({report.failures[0].describe()})"
             )
-        results = [r for r in report.metrics if isinstance(r, _ShardResult)]
-        for result in results:
+        for result in report.metrics:
+            assert isinstance(result, _ShardResult)
             for ap, state in zip(result.aps_owned, result.rng_states):
                 rng_states[int(ap)] = state
-        if results and sum(r.slots.size for r in results):
-            slots = np.concatenate([r.slots for r in results])
-            aps = np.concatenate([r.aps for r in results])
-            kinds = np.concatenate([r.kinds for r in results])
-            tags = np.concatenate([r.tags for r in results])
-            # (slot, ap) pairs are unique across shards, so this merge
-            # order is independent of the shard partition.
-            order = np.lexsort((aps, slots))
-            slots, aps, kinds, tags = (
-                slots[order], aps[order], kinds[order], tags[order]
-            )
-            for tag in tags[kinds == _SINGLE_OK]:
-                if not read[tag]:
-                    read[tag] = True
-                    unread -= 1
-            boundaries = np.flatnonzero(np.diff(slots)) + 1
-            for chunk_slots, chunk_aps, chunk_kinds, chunk_tags in zip(
-                np.split(slots, boundaries),
-                np.split(aps, boundaries),
-                np.split(kinds, boundaries),
-                np.split(tags, boundaries),
-            ):
-                by_slot[int(chunk_slots[0])] = tuple(
-                    zip(
-                        (int(a) for a in chunk_aps),
-                        (int(k) for k in chunk_kinds),
-                        (int(t) for t in chunk_tags),
-                    )
-                )
+            records = result.records
+            read[records[records[:, 2] == _SINGLE_OK, 3]] = True
+            for slot, ap, kind, tag in records.tolist():
+                outcomes[slot, ap] = (kind, tag)
 
     sim = Simulator(
         seed=_fresh_seedseq(seed), trace_capacity=config.trace_capacity
     )
     parts = _build_metro(sim, config, mac_cls=_ReplayMac)
     assert isinstance(parts.mac, _ReplayMac)
-    parts.mac.load_outcomes(by_slot, n_tags=plan.n_tags)
+    parts.mac.load_outcomes(outcomes)
     _run_metro(sim, parts)
     final = _finalize_metro(sim, parts)
     if trace_path is not None:

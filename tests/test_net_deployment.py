@@ -13,6 +13,7 @@ the physical claims (relaying extends read coverage past the cell edge;
 handoff re-balances AP load under mobility).
 """
 
+import hashlib
 import math
 import pickle
 from dataclasses import replace
@@ -244,6 +245,107 @@ class TestDeterminism:
         assert report.tags_total == 0
         assert report.tags_read == 0
         assert report.frames_delivered == 0
+
+
+#: Golden metro runs at seed 11: ``name -> (overrides, strategy,
+#: sha256 trace digest, sha256 of the pickled report)``.  The serial
+#: engine is the semantic oracle and the sharded engine is checked
+#: against it, so a change to the shared slot kernel could move both
+#: together; these pins catch that.
+_GOLDEN_METRO = {
+    "static": (
+        {},
+        None,
+        "57b9bd5678bf87e511b5974c372b4ec46c87b8eb85d92dc5c2bb15ae44bc47f7",
+        "2f0c0c01e4026165831a6245b7bfb5ca517bbc1a95ee9824ab82e45533f57e4d",
+    ),
+    "roaming_commit_past_epoch": (
+        dict(
+            num_tags=400,
+            num_slots=800,
+            mobile_fraction=0.6,
+            time_warp=2000.0,
+            handoff_delay_slots=75,
+            blockage_rate_hz=20.0,
+        ),
+        None,
+        "04770962b01e869829c78c0e0bd612dca13ac5bc45eb37375ff208746f323f75",
+        "b04c569a03ab68a67a95e39bda1766b38ae259cbbd0e0475acb98ffed1a927e0",
+    ),
+    "relay_past_cell_edge": (
+        dict(
+            ap_spacing_m=40.0,
+            num_tags=120,
+            num_slots=1500,
+            relay_range_m=6.0,
+            relay_max_hops=4,
+        ),
+        None,
+        "ea859a7e7d5c62c9c7035e18d95f55d3570d9fd008df4b8a0c87ec32bc5684db",
+        "b81d05a2c1c833f6a861cedaeccbc7c00160e90846b19c8dbb106b2c14bf159a",
+    ),
+    "persistent_no_drain_stop": (
+        dict(
+            persistent=True,
+            stop_when_drained=False,
+            num_slots=300,
+            mobile_fraction=0.3,
+            time_warp=2000.0,
+        ),
+        None,
+        "9d3f1eaddb15cf88800047a889d0d9b9dda5bbbcebc5824e9830920789a8a9f7",
+        "9f1492a437897740748f135ce85251fed5fd541bf4976c6fb6869df71ec5331a",
+    ),
+    "beb_strategy": (
+        dict(mobile_fraction=0.3, time_warp=2000.0),
+        "beb",
+        "65e07f319d5664cee4749c7bcd8e45b30c6b3b972d1169de5d37b9379434e760",
+        "5b2efb206f1da458681f246121da9ee8d17d16b9bc46db2e5684a0b0eb5031a5",
+    ),
+}
+
+
+class TestGoldenMetro:
+    @pytest.mark.parametrize("name", sorted(_GOLDEN_METRO))
+    def test_report_and_digest_are_pinned(self, name):
+        overrides, strategy, digest, report_sha = _GOLDEN_METRO[name]
+        report = run_multi_ap(_config(**overrides), seed=_SEED, strategy=strategy)
+        assert report.trace_digest == digest
+        assert hashlib.sha256(pickle.dumps(report)).hexdigest() == report_sha
+
+    def test_pins_exercise_their_coupling_channels(self):
+        def run(name):
+            overrides, strategy, _, _ = _GOLDEN_METRO[name]
+            return run_multi_ap(
+                _config(**overrides), seed=_SEED, strategy=strategy
+            )
+
+        roaming = run("roaming_commit_past_epoch")
+        assert roaming.handoffs > 0 and roaming.blocked_slots > 0
+        assert roaming.tags_read == roaming.tags_total  # drained early
+        assert roaming.slots_run < roaming.config.num_slots
+        assert run("relay_past_cell_edge").tags_read_relayed > 0
+        persistent = run("persistent_no_drain_stop")
+        assert persistent.slots_run == persistent.config.num_slots
+        assert persistent.handoffs > 0
+
+
+class TestSeedSequence:
+    def test_caller_seed_sequence_is_not_consumed(self):
+        config = _config(num_tags=60, num_slots=200)
+        ss = np.random.SeedSequence(7)
+        first = run_multi_ap(config, ss)
+        second = run_multi_ap(config, ss)
+        assert pickle.dumps(first) == pickle.dumps(second)
+
+    def test_spawned_sequence_matches_its_fresh_copy(self):
+        config = _config(num_tags=60, num_slots=200)
+        used = np.random.SeedSequence(7)
+        used.spawn(3)
+        fresh = np.random.SeedSequence(7)
+        assert pickle.dumps(run_multi_ap(config, used)) == pickle.dumps(
+            run_multi_ap(config, fresh)
+        )
 
 
 class TestRelay:

@@ -16,6 +16,10 @@ patterns:
   This is the invariant that lets :func:`repro.net.sim.run_netsim` and
   :func:`repro.net.deployment.run_multi_ap` register every process
   unconditionally and stay byte-deterministic as features toggle.
+
+A third class checks the population's O(1) drain counter: after any
+sequence of lifecycle and outcome calls it equals the O(N) scan the
+MACs used to run per slot.
 """
 
 import numpy as np
@@ -23,6 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net.engine import Process, Simulator
+from repro.net.population import TagPopulation
 
 #: Schedules drawn over a coarse float grid so same-time ties are
 #: common (the interesting case), yet times stay exactly representable.
@@ -203,3 +208,41 @@ class TestRngStreamProperties:
             return procs[slot].rng.random(8)
 
         assert not np.array_equal(first_draws(0), first_draws(1))
+
+
+#: One population call: ("add", batch size), ("depart", tag pick),
+#: ("read", tag pick) or ("reads", tag picks).  Picks index the tags
+#: deployed so far, modulo their count.
+_pop_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), st.integers(0, 5)),
+        st.tuples(st.just("depart"), st.integers(0, 10_000)),
+        st.tuples(st.just("read"), st.integers(0, 10_000)),
+        st.tuples(
+            st.just("reads"),
+            st.sets(st.integers(0, 10_000), max_size=6),
+        ),
+    ),
+    max_size=60,
+)
+
+
+class TestDrainCounterProperties:
+    @given(ops=_pop_ops)
+    def test_counter_matches_the_scan(self, ops):
+        pop = TagPopulation()
+        for op, arg in ops:
+            n = len(pop)
+            if op == "add":
+                zeros = np.zeros(arg)
+                pop.add(zeros + 1.0, zeros, zeros, zeros, 0.0)
+            elif n == 0:
+                continue
+            elif op == "depart":
+                pop.depart(arg % n, 1.0)
+            elif op == "read":
+                pop.record_read(arg % n, 8, 1.0)
+            else:
+                ids = np.unique(np.asarray(sorted(arg), dtype=np.int64) % n)
+                pop.record_reads(ids, 8, 1.0)
+            assert pop.unread_active == pop.active_unread_ids().size

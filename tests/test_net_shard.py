@@ -156,6 +156,13 @@ class TestByteIdentity:
         )
         assert sharded_path.read_bytes() == serial_path.read_bytes()
 
+    def test_spawned_seed_sequence_matches_serial(self):
+        # neither engine may consume the caller's sequence, so a
+        # sequence that was already spawned from still agrees
+        seed = np.random.SeedSequence(_SEED)
+        seed.spawn(2)
+        _assert_identical(_config(), seed=seed)
+
     def test_rejects_nonpositive_shards(self):
         with pytest.raises(ValueError, match="shards"):
             run_multi_ap_sharded(_config(), shards=0)
