@@ -11,7 +11,11 @@ the process-sharded twin of the E21 metro engine.  Three claims:
   sequence;
 * **speed** — the sharded run beats serial wall clock by >= 4x on a
   >= 4-core machine (the assertion is skipped below 4 cores and under
-  ``REPRO_SKIP_BENCH=1``; the events/sec table prints regardless);
+  ``REPRO_SKIP_BENCH=1``; the events/sec table prints regardless).
+  The table also splits the sharded wall clock into its plan, execute
+  and replay passes: only execute runs in parallel, so
+  ``serial / (plan + replay)`` bounds the speedup on any core count
+  (Amdahl) and the claim can be checked on a host with fewer cores;
 * **resilience** — with per-epoch checkpoints and an injected
   shard-worker kill, the pool degrades to the serial backend, the
   retry stack recomputes the lost shard-epoch, a resume restores the
@@ -30,8 +34,10 @@ import pickle
 import shutil
 import tempfile
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
+import repro.net.shard as shard
 from repro.net import MultiAPConfig, run_multi_ap, run_multi_ap_sharded
 from repro.sim.executor import SweepExecutor
 from repro.sim.faults import FaultPlan, FaultSpec
@@ -59,6 +65,38 @@ def _config(**overrides) -> MultiAPConfig:
     return MultiAPConfig(**{**base, **overrides})
 
 
+#: The sharded coordinator's passes, in run order, by module function.
+_PASSES = (
+    ("plan", "_plan_metro"),
+    ("execute", "_execute_plan"),
+    ("replay", "_replay_metro"),
+)
+
+
+@contextmanager
+def _timed_passes(seconds: dict[str, float]):
+    """Record each coordinator pass's wall clock into ``seconds``."""
+    originals = {name: getattr(shard, name) for _, name in _PASSES}
+
+    def timed(label, fn):
+        def wrapper(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                seconds[label] = time.perf_counter() - start
+
+        return wrapper
+
+    for label, name in _PASSES:
+        setattr(shard, name, timed(label, originals[name]))
+    try:
+        yield seconds
+    finally:
+        for name, fn in originals.items():
+            setattr(shard, name, fn)
+
+
 def _scale_run():
     """Serial vs sharded at headline scale: wall clock + byte-identity."""
     cores = os.cpu_count() or 1
@@ -69,16 +107,18 @@ def _scale_run():
     serial = run_multi_ap(config, seed=_SEED)
     serial_s = time.perf_counter() - start
 
-    start = time.perf_counter()
-    sharded = run_multi_ap_sharded(
-        config,
-        seed=_SEED,
-        shards=shards,
-        executor=SweepExecutor("process", max_workers=shards),
-        trace_path=_TRACE_PATH,
-    )
-    sharded_s = time.perf_counter() - start
-    return cores, shards, (serial_s, serial), (sharded_s, sharded)
+    passes: dict[str, float] = {}
+    with _timed_passes(passes):
+        start = time.perf_counter()
+        sharded = run_multi_ap_sharded(
+            config,
+            seed=_SEED,
+            shards=shards,
+            executor=SweepExecutor("process", max_workers=shards),
+            trace_path=_TRACE_PATH,
+        )
+        sharded_s = time.perf_counter() - start
+    return cores, shards, (serial_s, serial), (sharded_s, sharded, passes)
 
 
 def _chaos_run():
@@ -115,28 +155,36 @@ def _experiment():
 
 def test_e22_shard_scaling(once):
     scale, chaos = once(_experiment)
-    cores, shards, (serial_s, serial), (sharded_s, sharded) = scale
+    cores, shards, (serial_s, serial), (sharded_s, sharded, passes) = scale
 
     # -- A: wall clock + events/sec, serial vs sharded ----------------------
     events = serial.events_processed
     table = ResultTable(
         f"E22a: {_TAGS} tags x 9 APs x {_SLOTS} slots, {cores} cores "
         f"({shards} shards)",
-        ["engine", "wall_s", "events_per_s", "speedup", "tags_read"],
+        ["engine", "wall_s", "plan_s", "execute_s", "replay_s",
+         "events_per_s", "speedup", "tags_read"],
     )
     table.add_row(
-        "serial", round(serial_s, 2), round(events / serial_s), 1.0,
-        serial.tags_read,
+        "serial", round(serial_s, 2), "-", "-", "-",
+        round(events / serial_s), 1.0, serial.tags_read,
     )
     table.add_row(
         f"sharded x{shards}",
         round(sharded_s, 2),
+        *(round(passes[label], 2) for label, _ in _PASSES),
         round(events / sharded_s),
         round(serial_s / sharded_s, 2),
         sharded.tags_read,
     )
     print()
     print(table.to_text())
+    assert set(passes) == {label for label, _ in _PASSES}
+    serial_passes_s = passes["plan"] + passes["replay"]
+    print(
+        f"Amdahl ceiling (execute pass free): "
+        f"{serial_s / serial_passes_s:.2f}x"
+    )
 
     # -- B: byte-identity at scale ------------------------------------------
     digest_match = sharded.trace_digest == serial.trace_digest

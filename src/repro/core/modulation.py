@@ -304,28 +304,54 @@ class ModulationScheme:
             return math.inf
         return -10.0 * math.log10(avg)
 
-    def theoretical_ber(self, snr_db: float) -> float:
+    def theoretical_ber(
+        self, snr_db: float | np.ndarray
+    ) -> float | np.ndarray:
         """Closed-form (or union-bound) BER at symbol SNR ``snr_db``.
 
         SNR is defined on the *received average symbol energy*:
         ``Es_avg / N0``, matching what :func:`repro.dsp.measure.measure_snr`
         reports on the equalised symbol stream.
+
+        A scalar returns a float; an array returns a float64 array of
+        the same shape whose every element is bit-identical to the
+        scalar call on that element.  The array form evaluates
+        ``10**(snr/10)`` with libm's ``pow`` per element (numpy's
+        vectorised ``power`` can differ from it in the last bit); the
+        square roots, products and ``erfc`` after it are identical in
+        array form.  The union bound (star QAM) loops per element.
         """
-        snr = 10.0 ** (snr_db / 10.0)
+        scalar = np.ndim(snr_db) == 0
+        if self.theory == "union":
+            if scalar:
+                return self.constellation.union_bound_ber(snr_db)
+            return np.array(
+                [
+                    self.constellation.union_bound_ber(s)
+                    for s in np.ravel(snr_db).tolist()
+                ]
+            ).reshape(np.shape(snr_db))
+        if scalar:
+            snr = 10.0 ** (snr_db / 10.0)
+        else:
+            snr = np.array(
+                [math.pow(10.0, s / 10.0) for s in np.ravel(snr_db).tolist()]
+            ).reshape(np.shape(snr_db))
         if self.theory == "ook":
             # Points 0 and A: distance A, Es_avg = A^2/2 -> Q(sqrt(snr)).
-            return float(q_function(math.sqrt(snr)))
-        if self.theory == "psk":
+            ber = q_function(np.sqrt(snr))
+        else:  # psk
             m = self.constellation.size
             k = self.bits_per_symbol
             if m == 2:
-                return float(q_function(math.sqrt(2.0 * snr)))
-            if m == 4:
-                return float(q_function(math.sqrt(snr)))
-            return float(
-                (2.0 / k) * q_function(math.sqrt(2.0 * snr) * math.sin(math.pi / m))
-            )
-        return self.constellation.union_bound_ber(snr_db)
+                ber = q_function(np.sqrt(2.0 * snr))
+            elif m == 4:
+                ber = q_function(np.sqrt(snr))
+            else:
+                ber = (2.0 / k) * q_function(
+                    np.sqrt(2.0 * snr) * math.sin(math.pi / m)
+                )
+        return float(ber) if scalar else ber
 
     def average_transitions_per_symbol(self) -> float:
         """Expected switch transitions per symbol for random data.

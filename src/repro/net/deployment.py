@@ -57,6 +57,8 @@ Physics, by layer:
 from __future__ import annotations
 
 import math
+import zlib
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields as dataclass_fields
 from pathlib import Path
 
@@ -302,7 +304,8 @@ class Deployment:
         """``(n, n_aps)`` tag-to-AP distances, floored at 10 cm."""
         dx = np.asarray(x, dtype=np.float64)[:, None] - self.ap_xy[None, :, 0]
         dy = np.asarray(y, dtype=np.float64)[:, None] - self.ap_xy[None, :, 1]
-        return np.maximum(np.hypot(dx, dy), 0.1)
+        np.hypot(dx, dy, out=dx)
+        return np.maximum(dx, 0.1, out=dx)
 
     def snr_from_distances(self, distances: np.ndarray) -> np.ndarray:
         """Effective per-(tag, AP) SINR from a ``(n, n_aps)`` distance
@@ -314,7 +317,8 @@ class Deployment:
         snr = self.link_model.snr_db(distances.ravel()).reshape(
             distances.shape
         )
-        return snr - self.noise_rise_db[None, :]
+        snr -= self.noise_rise_db[None, :]
+        return snr
 
     def snr_matrix(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Effective per-(tag, AP) SINR at explicit positions."""
@@ -580,24 +584,99 @@ class MetroTagPopulation(TagPopulation):
         return src[ids]
 
 
-class _EpochShared:
-    """Per-epoch products shared between the epoch-cadence processes.
+@dataclass(frozen=True)
+class _AssocPrice:
+    """One epoch's association products: O(n) vectors, no matrices.
 
-    Association computes the SNR/distance matrices, relay consumes
-    them (same epoch, fixed order); ``version`` is bumped once per
-    completed relay epoch so the MAC can rebuild its contender cells
-    exactly when routes changed, without comparing floating-point
-    event times at epoch boundaries.  ``commits`` carries the
-    ``(tag, source_cell)`` of every handoff that moved a tag out of its
-    MAC cell since the MAC last looked; the relay rewrite empties it,
-    because its fresh routes already absorb every earlier commit.
+    ``better``/``strong`` are ``None`` with handoff disabled.
     """
 
-    def __init__(self) -> None:
+    best: np.ndarray  # strongest AP per tag
+    better: np.ndarray | None  # best AP strictly beats the serving AP
+    strong: np.ndarray | None  # ... by more than the handoff hysteresis
+    distance: np.ndarray  # distance to the serving AP
+
+
+@dataclass(frozen=True)
+class _RelayPrice:
+    """One epoch's routes and effective link state (O(n) vectors)."""
+
+    covered_direct: int
+    hops: np.ndarray
+    gateway: np.ndarray
+    eff_clear: np.ndarray
+    eff_blocked: np.ndarray
+    mac_ap: np.ndarray
+
+
+def _epoch_fingerprint(population: MetroTagPopulation) -> tuple[int, ...]:
+    """Cheap identity of an epoch's pricing inputs: the tag count and a
+    CRC-32 of each of the ``x_m``, ``y_m`` and ``serving_ap`` arrays."""
+    n = len(population)
+    return (n,) + tuple(
+        zlib.crc32(column[:n])
+        for column in (population.x_m, population.y_m, population.serving_ap)
+    )
+
+
+class _EpochShared:
+    """Per-epoch state shared between the epoch-cadence processes.
+
+    Association and relay each handle an epoch in two steps: a pure
+    *price* (association: the SINR matrix and its argmax reductions;
+    relay: routes and effective link state) and an *apply* that writes
+    the population, keeps handoff state, schedules commits and traces.
+    ``snr`` hands association's ``(n, n_aps)`` SINR matrix to relay's
+    price in the same epoch; relay drops it once priced.  ``routes`` is
+    the latest relay price.  ``version`` is bumped once per completed
+    relay epoch so the MAC can rebuild its contender cells exactly when
+    routes changed, without comparing floating-point event times at
+    epoch boundaries.  ``commits`` carries the ``(tag, source_cell)``
+    of every handoff that moved a tag out of its MAC cell since the MAC
+    last looked; the relay rewrite empties it, because its fresh routes
+    already absorb every earlier commit.
+
+    ``ledger`` serves the sharded engine, whose planner and replay run
+    the same epochs: the planner passes an empty dict and every price
+    is recorded under ``(process, epoch)`` with a fingerprint of its
+    inputs; the replay passes the planner's dict with ``replay=True``
+    and applies the recorded prices instead of pricing again, raising
+    if an epoch's inputs do not match their fingerprint.  The serial
+    engine passes nothing and prices every epoch.
+    """
+
+    def __init__(
+        self, ledger: dict | None = None, *, replay: bool = False
+    ) -> None:
         self.snr: np.ndarray | None = None
-        self.distances: np.ndarray | None = None
+        self.routes: _RelayPrice | None = None
         self.version = 0
         self.commits: list[tuple[int, int]] = []
+        self.ledger = ledger
+        self.replay = replay
+
+    def priced(
+        self,
+        key: tuple[str, int],
+        population: MetroTagPopulation,
+        price: Callable[[], _AssocPrice | _RelayPrice],
+    ) -> _AssocPrice | _RelayPrice:
+        """``price()`` for ``key``: computed, recorded or replayed."""
+        if self.ledger is None:
+            return price()
+        fingerprint = _epoch_fingerprint(population)
+        if not self.replay:
+            products = price()
+            self.ledger[key] = (fingerprint, products)
+            return products
+        recorded = self.ledger.get(key)
+        if recorded is None or recorded[0] != fingerprint:
+            raise RuntimeError(
+                f"replayed {key[0]} epoch {key[1]} does not match the "
+                "plan: its inputs (positions, serving cells) differ "
+                "from the planned run's"
+            )
+        return recorded[1]
 
 
 class MobilityProcess(Process):
@@ -728,54 +807,74 @@ class AssociationProcess(Process):
 
     def _epoch_event(self) -> None:
         pop = self.population
+        if len(pop):
+            key = ("assoc", self._epoch)
+            self._apply(self.shared.priced(key, pop, self._price))
+        self._advance()
+
+    def _price(self) -> _AssocPrice:
+        """The epoch's SINR matrix reduced to per-tag vectors (pure).
+
+        Leaves the matrix on ``shared.snr`` for relay's price.
+        """
+        pop = self.population
         n = len(pop)
-        if n == 0:
-            self._advance()
-            return
-        if self._better_since is None:
-            self._better_since = np.full(n, np.nan)
-            self._pending = np.zeros(n, dtype=bool)
         config = self.deployment.config
         distances = self.deployment.distances_to_aps(
             pop.x_m[:n], pop.y_m[:n]
         )
         snr = self.deployment.snr_from_distances(distances)
         self.shared.snr = snr
-        self.shared.distances = distances
         best = np.argmax(snr, axis=1)
         serving = pop.serving_ap[:n]
-        fresh = serving < 0
-        if fresh.any():
-            pop.serving_ap[:n][fresh] = best[fresh]
-            pop.mac_ap[:n][fresh] = best[fresh]
-            serving = pop.serving_ap[:n]
-            self.trace("associate", tags=int(fresh.sum()))
+        serving = np.where(serving < 0, best, serving)  # after association
+        idx = np.arange(n)
+        better = strong = None
         if config.handoff_enabled:
-            idx = np.arange(n)
             snr_serving = snr[idx, serving]
             snr_best = snr[idx, best]
             better = (best != serving) & (snr_best > snr_serving)
+            strong = better & (
+                snr_best - snr_serving > config.handoff_hysteresis_db
+            )
+        return _AssocPrice(
+            best=best,
+            better=better,
+            strong=strong,
+            distance=distances[idx, serving],
+        )
+
+    def _apply(self, price: _AssocPrice) -> None:
+        """Associate fresh tags, trigger handoffs, record distances."""
+        pop = self.population
+        n = len(pop)
+        if self._better_since is None:
+            self._better_since = np.full(n, np.nan)
+            self._pending = np.zeros(n, dtype=bool)
+        config = self.deployment.config
+        fresh = pop.serving_ap[:n] < 0
+        if fresh.any():
+            pop.serving_ap[:n][fresh] = price.best[fresh]
+            pop.mac_ap[:n][fresh] = price.best[fresh]
+            self.trace("associate", tags=int(fresh.sum()))
+        if config.handoff_enabled:
+            better = price.better
+            assert better is not None and price.strong is not None
             assert self._better_since is not None and self._pending is not None
             self._better_since[~better] = np.nan
             newly_better = better & np.isnan(self._better_since)
             self._better_since[newly_better] = self.now
-            trigger = (
-                better
-                & (snr_best - snr_serving > config.handoff_hysteresis_db)
-                & ~self._pending
-            )
+            trigger = price.strong & ~self._pending
             delay = config.handoff_delay_slots * self.deployment.slot_s
             for tag_id in np.flatnonzero(trigger):
                 self._pending[tag_id] = True
-                target = int(best[tag_id])
+                target = int(price.best[tag_id])
                 self.schedule(
                     delay,
                     lambda t=int(tag_id), a=target: self._commit(t, a),
                 )
         # serving-AP distance for reporting / spot checks
-        idx = np.arange(n)
-        pop.distance_m[:n] = self.shared.distances[idx, pop.serving_ap[:n]]
-        self._advance()
+        pop.distance_m[:n] = price.distance
 
     def _advance(self) -> None:
         self._epoch += 1
@@ -803,14 +902,11 @@ class AssociationProcess(Process):
             )
             model = self.deployment.link_model
             atten = self.deployment.config.blockage_attenuation_db
-            pop.eff_clear_p[tag_id] = float(
-                model.frame_success_from_snr_db(np.array([snr]))[0]
-            )
-            pop.eff_blocked_p[tag_id] = float(
-                model.frame_success_from_snr_db(
-                    np.array([snr - 2.0 * atten])
-                )[0]
-            )
+            clear, blocked = model.frame_success_from_snr_db(
+                np.array([snr, snr - 2.0 * atten])
+            ).tolist()
+            pop.eff_clear_p[tag_id] = clear
+            pop.eff_blocked_p[tag_id] = blocked
         self.trace(
             "handoff",
             tag=int(tag_id),
@@ -857,18 +953,23 @@ class RelayProcess(Process):
 
     def _epoch_event(self) -> None:
         pop = self.population
+        if len(pop):
+            key = ("relay", self._epoch)
+            routes = self.shared.priced(key, pop, self._price)
+            self.shared.snr = None  # priced: drop the epoch's matrix
+            self._apply(routes)
+        self._advance()
+
+    def _price(self) -> _RelayPrice:
+        """Routes and effective link state from the epoch's SINR (pure)."""
+        pop = self.population
         n = len(pop)
-        if n == 0:
-            self._advance()
-            return
         config = self.deployment.config
         snr = self.shared.snr
-        assert snr is not None, "association must run before relay"
-        idx = np.arange(n)
+        assert snr is not None, "association must price before relay"
         serving = pop.serving_ap[:n]
-        snr_serving = snr[idx, serving]
+        snr_serving = snr[np.arange(n), serving]
         covered = snr_serving >= self.deployment.coverage_snr_db
-
         hops, gateway = compute_relay_routes(
             np.column_stack((pop.x_m[:n], pop.y_m[:n])),
             covered,
@@ -885,15 +986,23 @@ class RelayProcess(Process):
             relay_hop_success=config.relay_hop_success,
             blockage_attenuation_db=config.blockage_attenuation_db,
         )
-        relayed = hops > 0
-        pop.relay_hops[:n] = hops
-        pop.relay_gateway[:n] = gateway
-        pop.eff_clear_p[:n] = eff_clear
-        pop.eff_blocked_p[:n] = eff_blocked
-        pop.mac_ap[:n] = mac_ap
-        self.covered_direct = int(covered.sum())
-        self.covered_relay = int(relayed.sum())
-        self.unreachable = int((hops < 0).sum())
+        return _RelayPrice(
+            int(covered.sum()), hops, gateway, eff_clear, eff_blocked, mac_ap
+        )
+
+    def _apply(self, routes: _RelayPrice) -> None:
+        """Rewrite the population's routes and publish a new version."""
+        pop = self.population
+        n = len(pop)
+        pop.relay_hops[:n] = routes.hops
+        pop.relay_gateway[:n] = routes.gateway
+        pop.eff_clear_p[:n] = routes.eff_clear
+        pop.eff_blocked_p[:n] = routes.eff_blocked
+        pop.mac_ap[:n] = routes.mac_ap
+        self.covered_direct = routes.covered_direct
+        self.covered_relay = int((routes.hops > 0).sum())
+        self.unreachable = int((routes.hops < 0).sum())
+        self.shared.routes = routes
         self.shared.version += 1
         self.shared.commits.clear()
         self.trace(
@@ -903,7 +1012,6 @@ class RelayProcess(Process):
             relayed=self.covered_relay,
             unreachable=self.unreachable,
         )
-        self._advance()
 
     def _advance(self) -> None:
         self._epoch += 1
@@ -1293,6 +1401,7 @@ def _build_metro(
     config: MultiAPConfig,
     *,
     mac_cls: type[MultiApAlohaMac] = MultiApAlohaMac,
+    shared: _EpochShared | None = None,
     strategy=None,
 ) -> _MetroParts:
     """Register the metro process stack on ``sim`` (nothing runs yet).
@@ -1302,8 +1411,9 @@ def _build_metro(
     three consume the root seed sequence identically: five process
     streams in registration order, then one stream per AP in ascending
     AP-id order for the MAC.  ``mac_cls`` lets the sharded engines
-    substitute recording/replaying MACs without perturbing that
-    contract.
+    substitute recording/replaying MACs, and ``shared`` an epoch
+    ledger that records or replays the epoch prices, without
+    perturbing that contract.
     """
     deployment = Deployment(config)
     slot_s = deployment.slot_s
@@ -1311,7 +1421,8 @@ def _build_metro(
     epoch_dt_s = config.epoch_slots * slot_s
     n_epochs = -(-config.num_slots // config.epoch_slots)  # ceil
     population = MetroTagPopulation(expected_tags=config.num_tags)
-    shared = _EpochShared()
+    if shared is None:
+        shared = _EpochShared()
 
     # Registration order IS the determinism contract — never reorder,
     # never register conditionally.

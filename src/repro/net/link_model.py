@@ -44,6 +44,19 @@ _RANGE_LAW_DB_PER_DECADE = 40.0
 _ANGLE_BUCKET_DEG = 0.25
 
 
+#: Below this many operating points a bucket lookup per element beats
+#: sorting them into unique buckets first.
+_UNIQUE_MIN_SIZE = 256
+
+
+def _unique_inverse(flat: np.ndarray) -> tuple[np.ndarray, object]:
+    """``(unique, inverse)`` with ``unique[inverse] == flat``; small
+    arrays skip the sort and index themselves."""
+    if flat.size < _UNIQUE_MIN_SIZE:
+        return flat, slice(None)
+    return np.unique(flat, return_inverse=True)
+
+
 @dataclass(frozen=True)
 class SpotCheck:
     """One waveform-level audit of the analytic per-slot model."""
@@ -127,7 +140,7 @@ class LinkBudgetModel:
         expected = self._ref_snr_db - _RANGE_LAW_DB_PER_DECADE * math.log10(3.0)
         self._range_law_ok = abs(probe - expected) < 1e-6
         self._gain_cache: dict[int, float] = {0: 0.0}
-        self._ber_cache: dict[float, float] = {}
+        self._success_cache: dict[float, float] = {}
         self._tag_model = Tag(tag)
         self._gain_ref_db = self._tag_model.ideal_roundtrip_gain_db(0.0)
 
@@ -136,6 +149,9 @@ class LinkBudgetModel:
     def _angle_gain_delta_db(self, angle_deg: float) -> float:
         """Roundtrip-gain delta vs boresight, cached per 0.25° bucket."""
         bucket = int(round(angle_deg / _ANGLE_BUCKET_DEG))
+        return self._bucket_gain_delta_db(bucket)
+
+    def _bucket_gain_delta_db(self, bucket: int) -> float:
         cached = self._gain_cache.get(bucket)
         if cached is None:
             angle = math.radians(bucket * _ANGLE_BUCKET_DEG)
@@ -179,31 +195,37 @@ class LinkBudgetModel:
             ).reshape(distances_m.shape)
         if angles_deg is not None:
             angles_deg = np.asarray(angles_deg, dtype=np.float64)
+            # same half-to-even bucket rule as _angle_gain_delta_db
+            buckets = np.rint(angles_deg / _ANGLE_BUCKET_DEG).astype(np.int64)
+            unique, inverse = _unique_inverse(buckets.ravel())
             deltas = np.array(
-                [
-                    self._angle_gain_delta_db(float(a))
-                    for a in np.atleast_1d(angles_deg)
-                ]
-            ).reshape(angles_deg.shape)
-            snr = snr + deltas
+                [self._bucket_gain_delta_db(b) for b in unique.tolist()]
+            )
+            snr = snr + deltas[inverse].reshape(angles_deg.shape)
         return snr
 
-    def _ber(self, snr_db: float) -> float:
-        """Scheme BER at one SNR, cached per 0.01 dB bucket.
+    def _bucket_success(self, keys: list[float]) -> list[float]:
+        """Frame-success probability per 0.01 dB bucket key, cached.
 
-        The bucket value comes from the closed form or, with
-        ``ber_source="montecarlo"``, from a waveform-chain estimate at
-        the distance that realises the bucket's SNR.
+        Missing buckets are filled together: their BERs come from one
+        array call of the scheme's closed form or, with
+        ``ber_source="montecarlo"``, from a waveform-chain estimate per
+        bucket at the distance that realises its SNR.  The success
+        probability ``(1 - BER)^(frame_bits + 32)`` is taken with libm's
+        ``pow`` per bucket, so each value is bit-identical to the
+        scalar closed form.
         """
-        key = round(snr_db, 2)
-        cached = self._ber_cache.get(key)
-        if cached is None:
+        cache = self._success_cache
+        missing = [k for k in dict.fromkeys(keys) if k not in cache]
+        if missing:
             if self.ber_source == "montecarlo":
-                cached = self._montecarlo_ber(key)
+                bers = [self._montecarlo_ber(k) for k in missing]
             else:
-                cached = self.scheme.theoretical_ber(key)
-            self._ber_cache[key] = cached
-        return cached
+                bers = self.scheme.theoretical_ber(np.array(missing)).tolist()
+            total_bits = float(self.frame_bits + 32)
+            for key, ber in zip(missing, bers):
+                cache[key] = math.pow(1.0 - ber, total_bits)
+        return [cache[k] for k in keys]
 
     def _montecarlo_ber(self, snr_key: float) -> float:
         """Fill one BER-cache bucket from the waveform chain.
@@ -247,14 +269,10 @@ class LinkBudgetModel:
         single-AP path uses.
         """
         flat = np.atleast_1d(np.asarray(snr_db, dtype=np.float64)).ravel()
-        total_bits = self.frame_bits + 32
-        # BERs are cached per 0.01 dB; evaluating per *unique* bucket
-        # keeps million-tag populations at array speed.
-        keys = np.round(flat, 2)
-        unique, inverse = np.unique(keys, return_inverse=True)
-        unique_p = np.array(
-            [(1.0 - self._ber(float(k))) ** total_bits for k in unique]
-        )
+        # Probabilities are cached per 0.01 dB; evaluating per *unique*
+        # bucket keeps million-tag populations at array speed.
+        unique, inverse = _unique_inverse(np.round(flat, 2))
+        unique_p = np.array(self._bucket_success(unique.tolist()))
         return unique_p[inverse].reshape(np.shape(snr_db))
 
     def frame_success_probability(

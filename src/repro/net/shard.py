@@ -27,10 +27,17 @@ Why this is possible without locks or clock synchronisation:
 
 The run happens in three passes:
 
-1. **Plan** (serial, cheap): run the real engine with a recording MAC
-   that never draws — it snapshots each epoch's contender partition and
+1. **Plan** (serial): run the real engine with a recording MAC that
+   never draws — it snapshots each epoch's contender partition and
    effective success probabilities, logs every handoff commit's apply
-   slot, and captures the per-slot blockage mask.
+   slot, and captures the per-slot blockage mask.  The epoch layer
+   (association's SINR matrix and its reductions, relay routes and
+   effective link state) is priced here, once per epoch, and each
+   price is kept in an epoch ledger together with a fingerprint of its
+   inputs (tag positions and serving cells).  The ledger holds only
+   O(tags) vectors per epoch, never the ``(tags, APs)`` matrices, and
+   the MAC snapshots alias its arrays instead of copying them (unless
+   a handoff commit changed the population first).
 2. **Execute** (parallel): for each epoch, partition the APs over
    shards (greedy LPT on backlog so shards that drained ahead get work
    stolen from loaded ones), and dispatch one
@@ -44,13 +51,17 @@ The run happens in three passes:
    with a MAC that takes each ``(kind, tag)`` from the merged records
    instead of a cell and books it through the serial MAC's own
    bookkeeping, so the trace digest, the report, and all counters come
-   out byte-identical — and the replay's per-slot cost is O(APs), not
-   O(backlog).
+   out byte-identical.  Its epoch processes apply the planner's ledger
+   instead of pricing again (the epoch layer neither draws nor depends
+   on reads, so the prices are identical to the bit), and raise if an
+   epoch's inputs do not match the planned fingerprint.  The replay's
+   per-slot cost is O(APs), not O(backlog).
 
 The per-slot draw work is the same as serial's; the speedup comes from
-spreading it over workers.  The plan and replay passes add two serial
-engine runs that never draw, which is why a single shard is slower
-than the serial engine.
+spreading it over workers.  The serial overhead is the planner — one
+engine run that prices the epoch layer but never draws — plus the
+replay, which neither draws nor prices; this is why a single shard is
+slower than the serial engine.
 """
 
 from __future__ import annotations
@@ -67,6 +78,7 @@ from repro.net.deployment import (
     MultiAPReport,
     MultiApAlohaMac,
     _AlohaCell,
+    _EpochShared,
     _build_metro,
     _finalize_metro,
     _fresh_seedseq,
@@ -119,12 +131,25 @@ class _PlannerMac(MultiApAlohaMac):
         return False
 
     def _begin_epoch(self, slot: int) -> None:
-        pop = self.population
-        n = len(pop)
+        routes = self.shared.routes
+        if routes is not None and not self.shared.commits:
+            # the population still holds exactly the relay rewrite, so
+            # the ledger's arrays are the snapshot: alias, don't copy
+            snapshot = (routes.mac_ap, routes.eff_clear, routes.eff_blocked)
+        else:
+            # no routes (no tags), or a direct tag's handoff commit
+            # landed between the rewrite and this slot
+            pop = self.population
+            n = len(pop)
+            snapshot = (
+                pop.mac_ap[:n].copy(),
+                pop.eff_clear_p[:n].copy(),
+                pop.eff_blocked_p[:n].copy(),
+            )
         self.epoch_starts.append(int(slot))
-        self.epoch_mac_ap.append(pop.mac_ap[:n].copy())
-        self.epoch_eff_clear.append(pop.eff_clear_p[:n].copy())
-        self.epoch_eff_blocked.append(pop.eff_blocked_p[:n].copy())
+        self.epoch_mac_ap.append(snapshot[0])
+        self.epoch_eff_clear.append(snapshot[1])
+        self.epoch_eff_blocked.append(snapshot[2])
         self.epoch_commits.append([])
 
     def _handoff(self, slot: int, tag: int, source: int) -> None:
@@ -150,6 +175,7 @@ class _MetroPlan:
     epoch_eff_blocked: list[np.ndarray]
     epoch_commits: list[list[tuple[int, int, int]]]  # (slot, tag, source)
     blocked_mask: np.ndarray
+    ledger: dict  # (process, epoch) -> (input fingerprint, epoch price)
 
     def epoch_bounds(self, e: int) -> tuple[int, int]:
         start = self.epoch_starts[e]
@@ -163,7 +189,8 @@ def _plan_metro(
 ) -> _MetroPlan:
     """Run the recording pass and return the execution plan."""
     sim = Simulator(seed=_fresh_seedseq(seed), trace_capacity=1)
-    parts = _build_metro(sim, config, mac_cls=_PlannerMac)
+    shared = _EpochShared(ledger={})
+    parts = _build_metro(sim, config, mac_cls=_PlannerMac, shared=shared)
     assert isinstance(parts.mac, _PlannerMac)
     _run_metro(sim, parts)
     mac = parts.mac
@@ -179,6 +206,7 @@ def _plan_metro(
         epoch_eff_blocked=mac.epoch_eff_blocked,
         epoch_commits=mac.epoch_commits,
         blocked_mask=mac.blocked_mask,
+        ledger=shared.ledger,
     )
 
 
@@ -446,19 +474,46 @@ def run_multi_ap_sharded(
     n_aps = config.grid_rows * config.grid_cols
     n_shards = max(1, min(int(shards), n_aps))
     plan = _plan_metro(config, seed)
+    if executor is None:
+        executor = SweepExecutor("process", max_workers=n_shards)
+    outcomes = _execute_plan(
+        plan,
+        config,
+        seed,
+        n_shards,
+        executor,
+        checkpoint_dir=checkpoint_dir,
+        resume=resume,
+        faults=faults,
+    )
+    return _replay_metro(config, seed, plan, outcomes, trace_path)
 
+
+def _execute_plan(
+    plan: _MetroPlan,
+    config: MultiAPConfig,
+    seed: int | np.random.SeedSequence,
+    n_shards: int,
+    executor: SweepExecutor,
+    *,
+    checkpoint_dir: str | Path | None,
+    resume: bool,
+    faults: object,
+) -> dict[tuple[int, int], tuple[int, int]]:
+    """Fan every epoch out over the shards; merge the drawn outcomes.
+
+    Returns ``(slot, ap) -> (kind, tag)`` for every activation that
+    drew, the replay's input.
+    """
     # Reconstruct the per-AP generators exactly as the serial MAC gets
     # them: children 5..5+n_aps of the root, in ascending AP-id order.
-    ap_children = _fresh_seedseq(seed).spawn(_N_PROCESS_STREAMS + n_aps)[
+    ap_children = _fresh_seedseq(seed).spawn(_N_PROCESS_STREAMS + plan.n_aps)[
         _N_PROCESS_STREAMS:
     ]
     rng_states = [
         np.random.default_rng(child).bit_generator.state
         for child in ap_children
     ]
-
-    if executor is None:
-        executor = SweepExecutor("process", max_workers=n_shards)
     read = np.zeros(plan.n_tags, dtype=bool)
     stop_on_drain = config.stop_when_drained and not config.persistent
     outcomes: dict[tuple[int, int], tuple[int, int]] = {}
@@ -496,11 +551,27 @@ def run_multi_ap_sharded(
             read[records[records[:, 2] == _SINGLE_OK, 3]] = True
             for slot, ap, kind, tag in records.tolist():
                 outcomes[slot, ap] = (kind, tag)
+    return outcomes
 
+
+def _replay_metro(
+    config: MultiAPConfig,
+    seed: int | np.random.SeedSequence,
+    plan: _MetroPlan,
+    outcomes: dict[tuple[int, int], tuple[int, int]],
+    trace_path: str | Path | None = None,
+) -> MultiAPReport:
+    """Run the engine once more on the plan's epoch ledger and the
+    merged outcomes; returns the serial engine's report.
+
+    Raises :class:`RuntimeError` if an epoch's inputs do not match the
+    plan's fingerprint (a plan from another config or seed).
+    """
     sim = Simulator(
         seed=_fresh_seedseq(seed), trace_capacity=config.trace_capacity
     )
-    parts = _build_metro(sim, config, mac_cls=_ReplayMac)
+    shared = _EpochShared(ledger=plan.ledger, replay=True)
+    parts = _build_metro(sim, config, mac_cls=_ReplayMac, shared=shared)
     assert isinstance(parts.mac, _ReplayMac)
     parts.mac.load_outcomes(outcomes)
     _run_metro(sim, parts)

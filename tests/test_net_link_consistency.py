@@ -30,6 +30,7 @@ from repro.channel.blockage import BlockageEvent
 from repro.channel.environment import Environment
 from repro.core.ap import APConfig
 from repro.core.link import LinkConfig, simulate_link
+from repro.core.modulation import available_schemes, get_scheme
 from repro.core.tag import TagConfig
 from repro.net.link_model import LinkBudgetModel
 
@@ -154,3 +155,68 @@ class TestMatchedSnrEquivalences:
         )
         np.testing.assert_array_equal(vector, scalar)
         assert np.all(np.diff(vector) >= 0.0)  # monotone in SNR
+
+
+#: The BER-curve identity grid: -40 ... 80 dB in 0.01 dB buckets.
+_CURVE_KEYS = [round(k / 100.0, 2) for k in range(-4000, 8001)]
+
+
+class TestArrayBerCurve:
+    """The array BER fill equals the scalar closed form bit for bit."""
+
+    @pytest.mark.parametrize("scheme", available_schemes())
+    def test_frame_success_curve_is_bit_identical(self, scheme):
+        keys = _CURVE_KEYS
+        if get_scheme(scheme).theory == "union":
+            # the union bound is evaluated per element in both forms
+            # (~2 ms each), so a 0.5 dB subgrid covers its range
+            keys = keys[::50]
+        ber = [get_scheme(scheme).theoretical_ber(k) for k in keys]
+        array_ber = get_scheme(scheme).theoretical_ber(np.array(keys))
+        np.testing.assert_array_equal(
+            array_ber.view(np.int64), np.array(ber).view(np.int64)
+        )
+        for frame_bits in (96, 256, 2048):
+            model = LinkBudgetModel(
+                TagConfig(modulation=scheme),
+                APConfig(),
+                Environment.anechoic(),
+                frame_bits,
+            )
+            scalar = np.array([(1.0 - b) ** (frame_bits + 32) for b in ber])
+            # shuffled and repeated keys exercise the unique/inverse map
+            order = np.random.default_rng(frame_bits).permutation(len(keys))
+            snrs = np.concatenate((np.array(keys)[order], keys))
+            curve = model.frame_success_from_snr_db(snrs)
+            expected = np.concatenate((scalar[order], scalar))
+            np.testing.assert_array_equal(
+                curve.view(np.int64), expected.view(np.int64)
+            )
+            # the second call is served from the per-bucket cache
+            again = model.frame_success_from_snr_db(snrs[::-1])
+            np.testing.assert_array_equal(again, expected[::-1])
+
+    def test_scalar_ber_keeps_its_type(self):
+        assert isinstance(get_scheme("QPSK").theoretical_ber(3.0), float)
+        assert isinstance(get_scheme("16QAM").theoretical_ber(3.0), float)
+        shaped = get_scheme("BPSK").theoretical_ber(np.zeros((2, 3)))
+        assert shaped.shape == (2, 3)
+
+    def test_angle_lookup_matches_per_angle_buckets(self):
+        model = _model()
+        # includes exact half-bucket ties (x.125 deg), rounded half-even
+        angles = np.concatenate(
+            (np.linspace(-60.0, 60.0, 241), [0.125, 0.375, -0.125, 30.125])
+        )
+        distances = np.full(angles.shape, 3.0)
+        snr = model.snr_db(distances, angles)
+        expected = np.array(
+            [
+                model.snr_db(np.array([d]))[0]
+                + model.angle_gain_delta_db(float(a))
+                for d, a in zip(distances, angles)
+            ]
+        )
+        np.testing.assert_array_equal(snr, expected)
+        grid = model.snr_db(distances.reshape(5, -1), angles.reshape(5, -1))
+        np.testing.assert_array_equal(grid.ravel(), expected)

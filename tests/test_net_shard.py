@@ -168,6 +168,91 @@ class TestByteIdentity:
             run_multi_ap_sharded(_config(), shards=0)
 
 
+class TestEpochLedger:
+    """The planner prices each epoch once; the replay applies its ledger."""
+
+    def test_sharded_run_prices_each_epoch_once(self, monkeypatch):
+        import repro.net.deployment as deployment
+
+        calls = {"distances": 0, "routes": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            deployment.Deployment,
+            "distances_to_aps",
+            counted("distances", deployment.Deployment.distances_to_aps),
+        )
+        monkeypatch.setattr(
+            deployment,
+            "compute_relay_routes",
+            counted("routes", deployment.compute_relay_routes),
+        )
+        config = _config(
+            mobile_fraction=0.6,
+            num_slots=800,
+            time_warp=2000.0,
+            persistent=True,
+        )
+        n_epochs = -(-config.num_slots // config.epoch_slots)
+        serial = run_multi_ap(config, seed=_SEED)
+        assert calls == {"distances": n_epochs, "routes": n_epochs}
+        calls.update(distances=0, routes=0)
+        sharded = run_multi_ap_sharded(
+            config, seed=_SEED, shards=2, executor=_serial()
+        )
+        assert calls == {"distances": n_epochs, "routes": n_epochs}
+        assert serial.handoffs > 0  # the replay re-applied commits too
+        assert pickle.dumps(sharded) == pickle.dumps(serial)
+
+    def test_ledger_holds_only_per_tag_vectors(self):
+        from repro.net.shard import _plan_metro
+
+        config = _config()
+        plan = _plan_metro(config, _SEED)
+        n_epochs = -(-config.num_slots // config.epoch_slots)
+        assert sorted(plan.ledger) == sorted(
+            (process, e)
+            for process in ("assoc", "relay")
+            for e in range(n_epochs)
+        )
+        for _fingerprint, price in plan.ledger.values():
+            arrays = [
+                v for v in vars(price).values() if isinstance(v, np.ndarray)
+            ]
+            assert arrays and all(a.shape == (plan.n_tags,) for a in arrays)
+
+    def test_replay_rejects_a_plan_from_another_seed(self):
+        from repro.net.shard import _plan_metro, _replay_metro
+
+        config = _config()
+        plan = _plan_metro(config, _SEED + 1)
+        with pytest.raises(RuntimeError, match="does not match the plan"):
+            _replay_metro(config, _SEED, plan, {})
+
+    def test_replay_rejects_edited_positions(self, monkeypatch):
+        import repro.net.deployment as deployment
+        from repro.net.shard import _plan_metro, _replay_metro
+
+        config = _config(mobile_fraction=0.0)
+        plan = _plan_metro(config, _SEED)
+        draw = deployment.draw_deployment
+
+        def nudged(*args, **kwargs):
+            xs, ys, mobile = draw(*args, **kwargs)
+            xs[3] += 1e-9
+            return xs, ys, mobile
+
+        monkeypatch.setattr(deployment, "draw_deployment", nudged)
+        with pytest.raises(RuntimeError, match="assoc epoch 0"):
+            _replay_metro(config, _SEED, plan, {})
+
+
 #: Randomised scenario space: every draw toggles a different coupling
 #: channel (mobility, hotspot load, commit delay, reuse colouring).
 _scenarios = st.fixed_dictionaries(
