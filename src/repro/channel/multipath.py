@@ -44,6 +44,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from repro.dsp.rows import _map_rows
 from repro.dsp.signal import Signal
 
 __all__ = [
@@ -207,7 +208,9 @@ def apply_channels_to_rows(
     run as one row-batched ``np.fft.ifft`` (bit-identical per row to
     the 1-D transform).  The final accumulation walks each frame's
     paths in their original order so the floating-point summation
-    order matches the reference exactly.
+    order matches the reference exactly.  Contiguous row chunks run in
+    parallel (:func:`~repro.dsp.rows._map_rows`); a row's result does
+    not depend on which chunk it is in.
     """
     rows = np.asarray(rows)
     if rows.ndim != 2:
@@ -217,7 +220,25 @@ def apply_channels_to_rows(
             f"need one channel per row: {len(channels)} channels for "
             f"{rows.shape[0]} rows"
         )
-    n_frames, n = rows.shape
+    out = np.zeros(rows.shape, dtype=np.complex128)
+
+    def chunk(start: int, stop: int) -> None:
+        _apply_channels_chunk(
+            rows[start:stop], sample_rate, channels[start:stop], out[start:stop]
+        )
+
+    _map_rows(chunk, rows.shape[0])
+    return out
+
+
+def _apply_channels_chunk(
+    rows: np.ndarray,
+    sample_rate: float,
+    channels: "list[MultipathChannel] | tuple[MultipathChannel, ...]",
+    out: np.ndarray,
+) -> None:
+    """:func:`apply_channels_to_rows` for one row chunk, into zeroed ``out``."""
+    n = rows.shape[1]
 
     # Pass 1: decompose every (frame, path) pair and group the FFT work
     # by whole-sample delay.
@@ -264,7 +285,6 @@ def apply_channels_to_rows(
 
     # Pass 3: accumulate per frame in original path order (the
     # summation order the reference chain uses).
-    out = np.zeros((n_frames, n), dtype=np.complex128)
     for f, plan in enumerate(plans):
         row_out = out[f]
         for kind, whole, slot, gain in plan:
@@ -274,7 +294,6 @@ def apply_channels_to_rows(
                 row_out += rows[f] * gain
             elif whole < n:
                 row_out[whole:] += rows[f, : n - whole] * gain
-    return out
 
 
 @dataclass(frozen=True)

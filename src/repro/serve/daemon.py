@@ -342,7 +342,9 @@ class TraceReplaySource:
     Built on the verifying :class:`~repro.net.engine.TraceReader`:
     corrupted or torn lines surface as :class:`MalformedEvent` items
     (stamped at the last good timestamp) and end up in the daemon's
-    dead-letter log rather than aborting the replay.
+    dead-letter log rather than aborting the replay.  So does a validly
+    hashed ``read`` record whose ``tag``, ``ap`` or ``slot`` is not an
+    integer (stamped at its own timestamp).
     """
 
     def __init__(
@@ -374,7 +376,7 @@ class TraceReplaySource:
             )
             last_t = max(last_t, event.time_s)
             if read is not None:
-                yield read.time_s, read
+                yield event.time_s, read
         while pending_bad:
             yield last_t, pending_bad.popleft()
 
@@ -407,14 +409,14 @@ class LiveNetsimSource:
         self.frame_bits = int(frame_bits)
         self.seed = int(seed)
 
-    def __iter__(self) -> Iterator[tuple[float, ReadEvent]]:
+    def __iter__(self) -> Iterator[tuple[float, ReadEvent | MalformedEvent]]:
         root = np.random.SeedSequence(abs(self.seed))
         step = 1.0 / self.offered_rate_hz
         clock = 0.0
         seq = 0
         universe = 0
         while True:
-            reads: list[ReadEvent] = []
+            reads: list[ReadEvent | MalformedEvent] = []
 
             def sink(event) -> None:
                 read = read_event_from_trace(
@@ -435,6 +437,9 @@ class LiveNetsimSource:
             run_netsim(config, seed=root.spawn(1)[0], trace_sink=sink)
             offset = universe * self.tags
             for read in reads:
+                if isinstance(read, MalformedEvent):
+                    yield clock, read
+                    continue
                 yield clock, replace(
                     read, time_s=clock, tag_id=read.tag_id + offset, seq=seq
                 )

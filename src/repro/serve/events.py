@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -60,25 +61,50 @@ class MalformedEvent:
     source: str = ""
 
 
+def _integer_field(detail: dict[str, object], key: str,
+                   default: int | None) -> int:
+    """``detail[key]`` as an ``int``; ``ValueError`` if it is not one.
+
+    Accepts Python and NumPy integers (live sinks hand over the MAC's
+    own values); rejects ``null``, floats, strings and booleans, which
+    only a damaged or foreign trace carries.  A missing key gives
+    ``default``, or is an error when ``default`` is ``None``.
+    """
+    value = detail.get(key, default)
+    if type(value) is int:
+        return value
+    if value is None and key not in detail:
+        raise ValueError(f"read record has no {key!r} field")
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)  # type: ignore[arg-type]
+        except TypeError:
+            pass
+    raise ValueError(f"read record field {key!r} is not an integer: {value!r}")
+
+
 def read_event_from_trace(
     event: TraceEvent, *, bits: int, source: str = "trace"
-) -> ReadEvent | None:
+) -> ReadEvent | MalformedEvent | None:
     """Normalise a simulator ``read`` trace event; ``None`` for others.
 
     Both the single-AP MAC (``kind="read"``, detail ``slot``/``tag``)
     and the metro MAC (adds ``ap``/``hops``) emit compatible records;
     non-read kinds (arrivals, handoffs, spot checks…) are not inventory
-    traffic and are skipped by returning ``None``.
+    traffic and are skipped by returning ``None``.  A ``read`` record
+    whose ``tag`` is missing or whose ``tag``, ``ap`` or ``slot`` is not
+    an integer comes back as a :class:`MalformedEvent`, so it is
+    dead-lettered and counted instead of crashing or vanishing.
     """
     if event.kind != "read":
         return None
     detail = dict(event.detail)
     try:
-        tag_id = int(detail["tag"])  # type: ignore[arg-type]
-    except (KeyError, TypeError, ValueError):
-        return None
-    ap_id = int(detail.get("ap", 0))  # type: ignore[arg-type]
-    slot = int(detail.get("slot", -1))  # type: ignore[arg-type]
+        tag_id = _integer_field(detail, "tag", None)
+        ap_id = _integer_field(detail, "ap", 0)
+        slot = _integer_field(detail, "slot", -1)
+    except ValueError as exc:
+        return MalformedEvent(raw=event.to_line(), reason=str(exc), source=source)
     return ReadEvent(
         time_s=event.time_s,
         tag_id=tag_id,

@@ -24,8 +24,10 @@ RNG draw order (per frame ``f``, from the single shared generator)::
 
 Those draws interleave per frame in the reference, so the batch keeps a
 per-frame Python loop that does *only* the RNG draws (steps 1-6) into
-preallocated matrices; every deterministic stage then runs as one
-broadcast array pass.  The stochastic channel stages batch exactly too:
+preallocated matrices; every deterministic stage then runs as a
+broadcast array pass over contiguous row chunks, spread across the CPUs
+the process may use (:func:`repro.dsp.rows._map_rows`; rows are
+independent, so the result is the same at any thread count).  The stochastic channel stages batch exactly too:
 Rician fading draws its per-frame path sets in the loop (step 3, the
 very :func:`~repro.channel.multipath.rician_channel` calls the serial
 reference makes) and then applies all frames' channels through the
@@ -75,6 +77,7 @@ from repro.core.modulation import BPSK, get_scheme
 from repro.core.tag import Tag, square_subcarrier_wave
 from repro.dsp.filters import design_fir_lowpass
 from repro.dsp.measure import bit_error_rate, evm_rms, measure_snr
+from repro.dsp.rows import _map_rows
 from repro.dsp.signal import Signal
 from repro.dsp.sync import detect_frame_start
 from repro.rf.noise import thermal_noise_power
@@ -502,6 +505,102 @@ class BatchLinkSimulator:
         filter.  Returns ``(padded_payload, work, filtered)`` — the
         conditioned receive matrix and its integrate-and-dump output —
         bit-identical per frame to the serial reference chain.
+
+        Two parts: :meth:`_draw_frames`, the per-frame RNG loop, runs
+        serially on the caller; every deterministic stage after it is a
+        row pass over contiguous row chunks
+        (:func:`~repro.dsp.rows._map_rows`).  Each row is computed with
+        the arithmetic it would get alone, so the output is
+        byte-identical at any thread count.  The stage functions a
+        profiler wraps (:meth:`tx_reflections`, ``apply_channels_to_rows``)
+        are called on the caller's thread; their parallel work lives
+        inside them.
+        """
+        n_sig = self._n_sig
+        padded_len = self._padded_len
+        payload, factors, channels, steps, leak, interference, noise = (
+            self._draw_frames(num_frames, rng)
+        )
+
+        # -- TX: bits -> reflection waveform --
+        if self._pad_bits:
+            padded_payload = np.concatenate(
+                [payload, np.zeros((num_frames, self._pad_bits), dtype=np.int8)],
+                axis=1,
+            )
+        else:
+            padded_payload = payload
+        reflections = self.tx_reflections(padded_payload)
+        signal = np.empty((num_frames, n_sig), dtype=np.complex128)
+
+        def tx_rows(start: int, stop: int) -> None:
+            wave = np.repeat(reflections[start:stop], self._sps, axis=1)
+            if self._square_tx is not None:
+                wave = wave * self._square_tx[None, :]
+            if self._switch_ba is not None:
+                wave = sp_signal.lfilter(
+                    self._switch_ba[0], self._switch_ba[1], wave, axis=-1
+                )
+            np.multiply(wave, factors[start:stop, None], out=signal[start:stop])
+
+        _map_rows(tx_rows, num_frames)
+        if channels is not None:
+            # One (possibly different) sparse channel per frame, applied
+            # through the grouped-FFT kernel — bit-identical per row to
+            # the serial reference's channel.apply.
+            signal = apply_channels_to_rows(signal, self._fs, channels)
+
+        # Composite assembly, matching ``(signal + interference) + noise``
+        # elementwise.  IEEE addition is commutative, so seeding the
+        # buffer with the interference term and adding the signal window
+        # in place reproduces the reference sums bit for bit while
+        # skipping a zeros pass (and, clutter-free, the whole
+        # interference matrix).  The buffer then holds the conditioned
+        # rows (``work``).
+        if interference is None:
+            work = np.empty((num_frames, padded_len), dtype=np.complex128)
+        else:
+            work = interference  # buffer reuse; not needed again
+        filtered = np.empty_like(work)
+
+        def rx_rows(start: int, stop: int) -> None:
+            rows = signal[start:stop]
+            if self._mixer is not None:
+                rows = rows * self._mixer[None, :]
+            if self._blockage_gain is not None:
+                rows = rows * self._blockage_gain[None, :]
+            if steps is not None:
+                path = np.cumsum(steps[start:stop] * self._pn_sqrt_step, axis=1)
+                residual = path[:, self._pn_lag :] - path[:, : -self._pn_lag]
+                # Bind the rotation before multiplying: ``rows * np.exp(...)``
+                # would let numpy elide the large same-shape temporary into
+                # an in-place multiply whose SIMD loop rounds the last bit
+                # differently from the reference's out-of-place multiply.
+                rotation = np.exp(1j * residual)
+                rows = rows * rotation
+            composite = work[start:stop]
+            if interference is None:
+                composite[:] = leak[start:stop, None]
+            composite[:, self._guard : self._guard + n_sig] += rows
+            if noise is not None:
+                composite += noise[start:stop]
+            conditioned = self._condition(composite)
+            if conditioned is not composite:
+                composite[:] = conditioned
+            filtered[start:stop] = sp_signal.lfilter(
+                self._ma_taps, [1.0], conditioned, axis=-1
+            )
+
+        _map_rows(rx_rows, num_frames)
+        return padded_payload, work, filtered
+
+    def _draw_frames(self, num_frames: int, rng: np.random.Generator) -> tuple:
+        """The per-frame RNG pass, in the documented serial draw order.
+
+        Returns ``(payload, factors, channels, steps, leak, interference,
+        noise)``; the stages a config lacks come back as ``None``
+        (``leak`` and ``interference`` are exclusive: clutter-free
+        environments draw one leakage phasor per frame).
         """
         config = self.config
         n_frames = num_frames
@@ -509,7 +608,6 @@ class BatchLinkSimulator:
         padded_len = self._padded_len
         fs = self._fs
 
-        # -- RNG pass: per-frame draws in the documented serial order --
         payload = np.empty((n_frames, self.num_payload_bits), dtype=np.int8)
         factors = np.empty(n_frames, dtype=np.complex128)
         steps = (
@@ -562,66 +660,18 @@ class BatchLinkSimulator:
                 real = rng.standard_normal(padded_len)
                 imag = rng.standard_normal(padded_len)
                 noise[f] = self._noise_sigma * (real + 1j * imag)
+        return payload, factors, channels, steps, leak, interference, noise
 
-        # -- TX: bits -> reflection waveform, one 2-D pass per stage --
-        if self._pad_bits:
-            padded_payload = np.concatenate(
-                [payload, np.zeros((n_frames, self._pad_bits), dtype=np.int8)],
-                axis=1,
-            )
-        else:
-            padded_payload = payload
-        reflections = self.tx_reflections(padded_payload)
-
-        wave = np.repeat(reflections, self._sps, axis=1)
-        if self._square_tx is not None:
-            wave = wave * self._square_tx[None, :]
-        if self._switch_ba is not None:
-            wave = sp_signal.lfilter(self._switch_ba[0], self._switch_ba[1], wave, axis=-1)
-
-        signal = wave * factors[:, None]
-        if channels is not None:
-            # One (possibly different) sparse channel per frame, applied
-            # through the grouped-FFT kernel — bit-identical per row to
-            # the serial reference's channel.apply.
-            signal = apply_channels_to_rows(signal, fs, channels)
-        if self._mixer is not None:
-            signal = signal * self._mixer[None, :]
-        if self._blockage_gain is not None:
-            signal = signal * self._blockage_gain[None, :]
-        if steps is not None:
-            path = np.cumsum(steps * self._pn_sqrt_step, axis=1)
-            residual = path[:, self._pn_lag :] - path[:, : -self._pn_lag]
-            # Bind the rotation before multiplying: ``signal * np.exp(...)``
-            # would let numpy elide the large same-shape temporary into an
-            # in-place multiply whose SIMD loop rounds the last bit
-            # differently from the reference's out-of-place multiply.
-            rotation = np.exp(1j * residual)
-            signal = signal * rotation
-
-        # Composite assembly, matching ``(signal + interference) + noise``
-        # elementwise.  IEEE addition is commutative, so seeding the
-        # buffer with the interference term and adding the signal window
-        # in place reproduces the reference sums bit for bit while
-        # skipping a zeros pass (and, clutter-free, the whole
-        # interference matrix).
-        if interference is None:
-            composite = np.empty((n_frames, padded_len), dtype=np.complex128)
-            composite[:] = leak[:, None]
-        else:
-            composite = interference  # buffer reuse; not needed again
-        composite[:, self._guard : self._guard + n_sig] += signal
-        if noise is not None:
-            composite += noise
-
-        # -- RX front end: condition / de-hop / matched filter, batched --
-        work = composite
+    def _condition(self, work: np.ndarray) -> np.ndarray:
+        """RX conditioning of composite rows: DC block, ADC, de-hop and
+        channel filter (each stage the config enables).  Returns ``work``
+        itself when no stage is enabled."""
         if self._dc_ba is not None:
             b, a = self._dc_ba
-            level = np.mean(work[:, : min(64, padded_len)], axis=1)
+            level = np.mean(work[:, : min(64, self._padded_len)], axis=1)
             zi = self._dc_zi_base[None, :] * level[:, None]
             work, _ = sp_signal.lfilter(b, a, work, axis=-1, zi=zi)
-        if config.ap.adc is not None:
+        if self.config.ap.adc is not None:
             work = self._adc_quantize(work)
         if self._square_rx is not None:
             work = work * self._square_rx[None, :]
@@ -634,14 +684,15 @@ class BatchLinkSimulator:
                     work = np.concatenate(
                         [
                             filtered_rows[:, delay:],
-                            np.zeros((n_frames, delay), dtype=filtered_rows.dtype),
+                            np.zeros(
+                                (work.shape[0], delay), dtype=filtered_rows.dtype
+                            ),
                         ],
                         axis=1,
                     )
                 else:
                     work = filtered_rows
-        filtered = sp_signal.lfilter(self._ma_taps, [1.0], work, axis=-1)
-        return padded_payload, work, filtered
+        return work
 
     def _simulate_fast(
         self, num_frames: int, rng: np.random.Generator
@@ -689,10 +740,10 @@ class BatchLinkSimulator:
         Row ``f`` of the result is the start sample
         :func:`~repro.dsp.sync.detect_frame_start` returns for that row
         (``-1`` encodes ``None``).  The per-row ``np.correlate`` stays
-        1-D (its summation order is part of the bit-exact contract),
-        but the magnitude, argmax and median CFAR statistics run as one
-        batched pass each — elementwise/per-row identical to the serial
-        calls.
+        1-D (its summation order is part of the bit-exact contract);
+        it, the magnitude, argmax and median CFAR statistics run per
+        row chunk (:func:`~repro.dsp.rows._map_rows`), elementwise/per-row
+        identical to the serial calls.
         """
         template = self._sync_template
         n_frames, padded_len = work.shape
@@ -700,13 +751,20 @@ class BatchLinkSimulator:
         starts = np.full(n_frames, -1, dtype=np.int64)
         if lags <= 0:
             return starts
-        corr = np.empty((n_frames, lags), dtype=np.complex128)
-        for f in range(n_frames):
-            corr[f] = np.correlate(work[f], template, mode="valid")
-        mag = np.abs(corr)
-        peaks = np.argmax(mag, axis=1)
-        floors = np.median(mag, axis=1)
-        peak_vals = mag[np.arange(n_frames), peaks]
+        peaks = np.empty(n_frames, dtype=np.intp)
+        floors = np.empty(n_frames)
+        peak_vals = np.empty(n_frames)
+
+        def correlate_rows(start: int, stop: int) -> None:
+            corr = np.empty((stop - start, lags), dtype=np.complex128)
+            for f in range(start, stop):
+                corr[f - start] = np.correlate(work[f], template, mode="valid")
+            mag = np.abs(corr)
+            peaks[start:stop] = np.argmax(mag, axis=1)
+            floors[start:stop] = np.median(mag, axis=1)
+            peak_vals[start:stop] = mag[np.arange(stop - start), peaks[start:stop]]
+
+        _map_rows(correlate_rows, n_frames)
         positive_floor = floors > 0.0
         hit = np.empty(n_frames, dtype=bool)
         hit[~positive_floor] = peak_vals[~positive_floor] > 0.0

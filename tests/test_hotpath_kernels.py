@@ -28,6 +28,7 @@ only*:
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import os
 import time
 
@@ -42,6 +43,7 @@ from repro.channel.multipath import (
     apply_channels_to_rows,
     rician_channel,
 )
+from repro.dsp import rows as row_passes
 from repro.dsp.signal import Signal
 from repro.core.coding import append_crc32, check_crc32, crc32
 from repro.core.convolutional import ConvolutionalCode, K7_CODE
@@ -318,20 +320,32 @@ class TestMultipathKernelEquivalence:
             channel.apply(sig).samples, channel._apply_reference(sig).samples
         )
 
-    def test_rows_kernel_matches_per_row_apply(self, rng):
-        frames = 5
-        rows = (
-            rng.standard_normal((frames, 300))
-            + 1j * rng.standard_normal((frames, 300))
-        )
-        channels = [
-            rician_channel(6.0, int(rng.integers(1, 5)), 30e-9, rng)
-            for _ in range(frames)
-        ]
-        batched = apply_channels_to_rows(rows, self.FS, channels)
-        for f in range(frames):
-            expected = channels[f].apply(Signal(rows[f], self.FS)).samples
-            assert np.array_equal(batched[f], expected), f"frame {f}"
+    def test_rows_kernel_matches_per_row_apply(self, rng, monkeypatch):
+        """Row ``f`` equals ``channels[f].apply`` for odd and even row
+        counts, for rows that share one channel (one unique-frac ramp
+        serves them all) and at any row-thread count."""
+        monkeypatch.setattr(row_passes, "_MIN_CHUNK_ROWS", 1)
+        for frames, shared, threads in itertools.product(
+            (1, 5, 7, 16), (False, True), (1, 3)
+        ):
+            monkeypatch.setattr(row_passes, "_ROW_THREADS", threads)
+            rows = (
+                rng.standard_normal((frames, 300))
+                + 1j * rng.standard_normal((frames, 300))
+            )
+            if shared:
+                channels = [rician_channel(6.0, 4, 30e-9, rng)] * frames
+            else:
+                channels = [
+                    rician_channel(6.0, int(rng.integers(1, 5)), 30e-9, rng)
+                    for _ in range(frames)
+                ]
+            batched = apply_channels_to_rows(rows, self.FS, channels)
+            for f in range(frames):
+                expected = channels[f].apply(Signal(rows[f], self.FS)).samples
+                assert np.array_equal(batched[f], expected), (
+                    f"frame {f} of {frames}, shared={shared}, threads={threads}"
+                )
 
 
 class TestStochasticChannelProperties:

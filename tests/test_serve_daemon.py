@@ -13,8 +13,10 @@ from __future__ import annotations
 import asyncio
 import json
 
+import numpy as np
 import pytest
 
+from repro.net.engine import TraceEvent
 from repro.net.sim import NetSimConfig, run_netsim
 from repro.serve.daemon import (
     APDaemon,
@@ -24,7 +26,7 @@ from repro.serve.daemon import (
     TraceReplaySource,
     run_service,
 )
-from repro.serve.events import MalformedEvent, ReadEvent
+from repro.serve.events import MalformedEvent, ReadEvent, read_event_from_trace
 from repro.sim.faults import StreamFaultPlan, StreamFaultSpec
 
 
@@ -124,6 +126,56 @@ class TestDeterministicReplay:
             "[" + ",".join(dlq.read_text().splitlines()) + "]"
         ):
             assert "reason" in record and "sha256" in record
+
+    def test_non_integer_read_fields_reach_dead_letter(self, trace_path,
+                                                       tmp_path):
+        """Validly hashed ``read`` lines with a bad ``tag``/``ap``/``slot``
+        are dead-lettered and counted, never raised or dropped."""
+        bad = [
+            TraceEvent(1e3, 90_001, "ap/aloha", "read",
+                       (("slot", 7), ("tag", 3), ("ap", None))),
+            TraceEvent(1e3, 90_002, "ap/aloha", "read",
+                       (("slot", "7"), ("tag", 3))),
+            TraceEvent(1e3, 90_003, "ap/aloha", "read",
+                       (("slot", 7), ("tag", 1.5))),
+            TraceEvent(1e3, 90_004, "ap/aloha", "read", (("slot", 7),)),
+        ]
+        mangled = tmp_path / "bad_fields.jsonl"
+        lines = trace_path.read_text().splitlines()
+        mangled.write_text(
+            "\n".join(lines + [event.to_dump_line() for event in bad]) + "\n"
+        )
+        dlq = tmp_path / "dlq.jsonl"
+        report = run_service(
+            _replay_config(mangled, dead_letter_path=str(dlq))
+        )
+        clean = run_service(_replay_config(trace_path))
+        assert report.counters["dead_letter"] == len(bad)
+        assert report.counters["events_in"] == clean.counters["events_in"]
+        assert report.state_sha256 == clean.state_sha256
+        reasons = [
+            json.loads(line)["reason"] for line in dlq.read_text().splitlines()
+        ]
+        assert len(reasons) == len(bad)
+        for field, reason in zip(("ap", "slot", "tag", "tag"), reasons):
+            assert repr(field) in reason
+
+    def test_read_event_field_types(self):
+        def event(**detail):
+            return TraceEvent(0.5, 3, "ap/aloha", "read", tuple(detail.items()))
+
+        read = read_event_from_trace(
+            event(slot=np.int64(4), tag=np.int64(9), ap=2), bits=96
+        )
+        assert read == ReadEvent(0.5, 9, 2, 96, "trace", 3, 4)
+        assert read_event_from_trace(event(slot=4, tag=9), bits=96).ap_id == 0
+        for detail in ({"tag": 1, "ap": None}, {"tag": 1, "slot": True},
+                       {"tag": "1"}, {"slot": 1}):
+            item = read_event_from_trace(event(**detail), bits=96, source="s")
+            assert isinstance(item, MalformedEvent)
+            assert item.source == "s" and item.raw.startswith("{")
+        other = TraceEvent(0.5, 3, "churn", "arrive", (("count", 1),))
+        assert read_event_from_trace(other, bits=96) is None
 
 
 class TestOverload:
